@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from conftest import emit, run_once
 
-from repro.analysis.experiments import fig7_bound_breakdown
 from repro.analysis.formatting import render_table
+from repro.studies import paper
+from repro.studies.extractors import fig7_projection
 
 _COMBINATIONS = [
     {"dram": "HBM2", "network": "NDR-x8"},
@@ -22,7 +23,8 @@ _COMBINATIONS = [
 
 
 def test_fig7_bound_breakdown(benchmark):
-    rows = run_once(benchmark, fig7_bound_breakdown, combinations=_COMBINATIONS)
+    study = paper.technology_node_scaling(combinations=_COMBINATIONS)
+    rows = run_once(benchmark, lambda: fig7_projection(study.run()))
 
     emit(
         render_table(

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from conftest import emit, run_once
 
-from repro.analysis.experiments import fig8_inference_boundedness
 from repro.analysis.formatting import render_table
+from repro.studies import paper
 
 
 def test_fig8_inference_boundedness(benchmark):
-    rows = run_once(benchmark, fig8_inference_boundedness)
+    rows = run_once(benchmark, paper.fig8_inference_boundedness().run)
 
     emit(
         render_table(

@@ -13,14 +13,17 @@ from __future__ import annotations
 
 from conftest import emit, run_once
 
-from repro.analysis.experiments import fig9_memory_technology_scaling
 from repro.analysis.formatting import render_table
+from repro.studies import paper
 
 
 def test_fig9_memory_technology_scaling(benchmark):
-    result = run_once(benchmark, fig9_memory_technology_scaling)
-    rows = result["rows"]
-    references = result["h100_reference_latency_s"]
+    rows = run_once(benchmark, paper.inference_memory_scaling().run)
+    # The dashed H100 lines of the figure, one per GPU count of the sweep.
+    references = {
+        f"H100x{count}": paper.h100_reference_latency(num_gpus=count)
+        for count in sorted(set(rows["num_gpus"].tolist()))
+    }
 
     table_rows = [
         {

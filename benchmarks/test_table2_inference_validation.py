@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from conftest import emit, run_once
 
-from repro.analysis.experiments import table2_inference_validation
 from repro.analysis.formatting import render_table, summarize_errors
+from repro.studies import paper
 
 
 def test_table2_inference_validation(benchmark):
-    rows = run_once(benchmark, table2_inference_validation)
+    rows = run_once(benchmark, paper.table2_inference_validation().run)
 
     emit(
         render_table(

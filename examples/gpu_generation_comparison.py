@@ -14,12 +14,12 @@ Run it with ``python examples/gpu_generation_comparison.py``.
 
 from __future__ import annotations
 
-from repro.analysis.experiments import fig5_gpu_generation_scaling
 from repro.analysis.formatting import render_table
+from repro.studies import paper
 
 
 def main() -> None:
-    rows = fig5_gpu_generation_scaling()
+    rows = paper.fig5_gpu_generation_scaling().run()
 
     print(render_table(
         rows,

@@ -27,8 +27,8 @@ from repro import (
     TraceConfig,
     build_system,
 )
-from repro.analysis.experiments import serving_latency_throughput_frontier
 from repro.analysis.formatting import render_table
+from repro.studies import paper
 
 #: One runner for the whole study: scenarios shared between the sections
 #: (and with any other analysis in this process) are evaluated once.
@@ -42,7 +42,7 @@ SLO = ServingSLO(ttft=1.0, tpot=0.05)
 
 def load_frontier_study() -> None:
     """Latency-throughput frontier of Llama2-13B serving on a single A100."""
-    table = serving_latency_throughput_frontier(
+    table = paper.serving_latency_throughput_frontier(
         model_name="Llama2-13B",
         gpu="A100",
         num_devices=1,
@@ -52,8 +52,7 @@ def load_frontier_study() -> None:
         prompt_lengths=PROMPTS,
         output_lengths=OUTPUTS,
         slo=SLO,
-        runner=RUNNER,
-    )
+    ).run(runner=RUNNER)
     view = table.select(
         ["arrival_rate", "ttft_p50_s", "ttft_p99_s", "tpot_p99_s", "requests_per_s", "goodput_rps", "utilization"]
     )

@@ -13,8 +13,8 @@ Workload Analysis of Distributed Large Language Model Training and Inference"
 * :class:`repro.studies.Study` / :func:`repro.studies.get_study` for
   declarative, registry-backed sweeps (every paper table/figure is a
   registered study; ``python -m repro list`` enumerates them),
-* :mod:`repro.dse` for technology-node and memory-technology design-space
-  exploration.
+* :mod:`repro.studies.paper` for the technology-node and memory-technology
+  design-space studies (built on :mod:`repro.dse`).
 """
 
 from .core.engine import PerformancePredictionEngine
@@ -40,7 +40,7 @@ from .serving import (
 from .studies import Study, get_study, list_studies, register_study
 from .sweep import Scenario, SweepResult, SweepRunner, SweepTable, expand_grid
 
-__version__ = "1.6.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "InferencePerformanceModel",

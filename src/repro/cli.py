@@ -8,8 +8,9 @@ Subcommands:
   document ``repro run`` accepts); start from this to define custom sweeps.
 * ``repro run <study-or-spec.json>`` -- execute a registered study or a spec
   file: streams per-scenario progress to stderr, prints the result table,
-  and exports ``--csv`` / ``--json``.  ``--executor thread|process`` fans the
-  evaluations out; study builder keywords pass as ``-p name=value``.
+  and exports ``--csv`` / ``--json``.  ``--executor process`` shards the
+  evaluations across worker processes; study builder keywords pass as
+  ``-p name=value``.
   Results persist to the on-disk store (``~/.cache/repro`` or
   ``$REPRO_CACHE_DIR``) so re-running a study prices nothing; point
   ``--cache-dir`` elsewhere or disable with ``--no-disk-cache``.
@@ -46,6 +47,7 @@ from .errors import ReproError
 from .studies import Study, get_study, list_studies
 from .studies.extractors import list_derives, list_extractors
 from .sweep import SweepResult, SweepRunner, SweepTable
+from .sweep.runner import EXECUTORS
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -89,9 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("study", help="registered study name, or a path to a JSON spec")
     run_cmd.add_argument("-p", "--param", action="append", default=[], metavar="NAME=VALUE",
                          help="study builder keyword (registered studies only; repeatable)")
-    run_cmd.add_argument("--executor", choices=("serial", "thread", "process"), default="serial",
+    run_cmd.add_argument("--executor", choices=EXECUTORS, default="serial",
                          help="how to evaluate the expanded scenarios (default: serial)")
-    run_cmd.add_argument("--max-workers", type=int, default=None, help="worker count for pooled executors")
+    run_cmd.add_argument("--max-workers", type=int, default=None, help="worker count for the process executor")
     run_cmd.add_argument("--cache-dir", default=None, metavar="PATH",
                          help="root of the persistent result store "
                               "(default: ~/.cache/repro, or $REPRO_CACHE_DIR)")
@@ -110,9 +112,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--port", type=int, default=8642, help="bind port (default: 8642; 0 picks a free one)")
     serve_cmd.add_argument("--workers", type=int, default=2,
                            help="concurrent study jobs (default: 2); all share one warm runner")
-    serve_cmd.add_argument("--executor", choices=("serial", "thread", "process"), default="serial",
+    serve_cmd.add_argument("--executor", choices=EXECUTORS, default="serial",
                            help="how each job evaluates its scenarios (default: serial)")
-    serve_cmd.add_argument("--max-workers", type=int, default=None, help="worker count for pooled executors")
+    serve_cmd.add_argument("--max-workers", type=int, default=None, help="worker count for the process executor")
     serve_cmd.add_argument("--cache-dir", default=None, metavar="PATH",
                            help="root of the persistent result store "
                                 "(default: ~/.cache/repro, or $REPRO_CACHE_DIR)")

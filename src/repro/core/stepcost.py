@@ -224,9 +224,10 @@ class StepCostModel:
         self._token_partials_cache = Memo()
         self._head_terms_cache = Memo()
         # Serializes table growth + fills: one StepCostModel is shared per
-        # system (engine_for), so thread-executor sweeps price epochs
-        # concurrently.  The read path stays lock-free -- growth copies the
-        # old content and a gather reads one array reference atomically.
+        # system (engine_for), so the study service's job threads price
+        # epochs concurrently.  The read path stays lock-free -- growth
+        # copies the old content and a gather reads one array reference
+        # atomically.
         self._table_lock = threading.Lock()
         # Memo telemetry: every lookup into the caches above counts as a hit
         # or a miss, so sweeps can verify that a shared instance actually
@@ -698,7 +699,7 @@ class StepCostModel:
         ranges instead of deduplicating the full steps x batch matrix; on the
         common warm path every span is already filled and this is just one
         ``all()`` per span.  Growth and fills hold the table lock because the
-        owning model is shared across thread-executor sweeps.
+        owning model is shared across the study service's job threads.
         """
         unique_kvs = sorted(set(kv_lens))
         with self._table_lock:

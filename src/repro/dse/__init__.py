@@ -1,10 +1,9 @@
-"""Design-space exploration: design points, search, and technology-scaling studies."""
+"""Design-space exploration: design points and allocation search.
 
-from .scaling import (
-    h100_reference_latency,
-    inference_memory_scaling_study,
-    technology_node_scaling_study,
-)
+The technology-scaling case studies built on them (paper Figs. 6 and 9) are
+registered studies in :mod:`repro.studies.paper`.
+"""
+
 from .search import GradientDescentSearch, SearchResult, optimize_allocation
 from .space import DesignPoint, DesignSpace
 
@@ -13,8 +12,5 @@ __all__ = [
     "DesignSpace",
     "GradientDescentSearch",
     "SearchResult",
-    "h100_reference_latency",
-    "inference_memory_scaling_study",
     "optimize_allocation",
-    "technology_node_scaling_study",
 ]

@@ -110,7 +110,7 @@ def build_registry(
             disables it.
         executor: The *sweep* executor each job evaluates through (its
             scenarios; not to be confused with service worker threads).
-        max_workers: Pool size for pooled sweep executors.
+        max_workers: Worker processes of the ``"process"`` sweep executor.
         cache_size: Runner LRU entries; sized generously because the LRU is
             the cross-request warm state the service exists to keep.
     """

@@ -16,11 +16,11 @@ reintroducing any per-step Python work:
   an independent single-replica simulation.  This is the fleet's fast path
   (and what makes an N=1 fleet bit-identical to :class:`ServingSimulator`).
 * **Stateful** routers (least-KV-load, least-queue) need live replica state
-  at each arrival, so the fleet runs an event-horizon loop at cluster
-  level: the next event is the next arrival, and every replica advances to
-  it through epoch-fused decode runs cut at that horizon
-  (``ReplicaEngine.advance(until=...)``).  The epoch cuts change nothing
-  but grouping, so per-replica results stay exact.
+  at each arrival, so the fleet runs an event-heap loop at cluster level
+  (:meth:`FleetSimulator._run_resilient`): the next event is the next
+  arrival, and every replica advances to it through epoch-fused decode runs
+  cut at that horizon (``ReplicaEngine.advance(until=...)``).  The epoch
+  cuts change nothing but grouping, so per-replica results stay exact.
 
 The outcome is a :class:`FleetReport`: per-replica
 :class:`~repro.serving.report.ServingReport` objects plus fleet-level
@@ -33,10 +33,12 @@ crash/recovery events (lost requests re-enter the router under a
 :class:`~repro.serving.faults.RetryPolicy`), and an autoscaler
 (:class:`~repro.serving.faults.QueueDepthAutoscaler` /
 :class:`~repro.serving.faults.SLOAutoscaler`) joins and drains replicas on
-rolling windows.  Both ride one event-heap loop (:meth:`FleetSimulator
-._run_resilient`) layered on the same ``advance(until=...)`` engine core;
-with faults disabled and no autoscaler the original two code paths run
-unchanged, keeping the zero-fault fleet bit-identical to earlier releases.
+rolling windows.  Both ride the same event-heap loop as the stateful
+routers: crash, recovery and scaling events simply join the arrivals in the
+heap.  With faults disabled and no autoscaler the heap holds only arrivals
+and the report skips the resilience accounting, so a fault-free fleet stays
+bit-identical to earlier releases (pinned in
+``tests/serving/golden_stateful_fleet.json``).
 """
 
 from __future__ import annotations
@@ -90,8 +92,7 @@ class FleetConfig:
         arrival_probe_steps: Per-replica probe cap while an admissible
             arrival is pending.
         faults: Optional replica crash/recovery process; ``None`` (or a
-            config with infinite MTBF) keeps the fleet fault-free on the
-            original code paths.
+            config with infinite MTBF) keeps the fleet fault-free.
         retry: What happens to requests a crash evicts (only consulted
             when faults fire).
         autoscaler: Optional elastic-membership controller; ``num_replicas``
@@ -129,7 +130,12 @@ class FleetConfig:
 
     @property
     def resilient(self) -> bool:
-        """Whether faults or elasticity force the event-heap loop."""
+        """Whether faults or elasticity are active.
+
+        Such fleets always run the event-heap loop, and their reports bill
+        device time by membership and rebase latencies to each request's
+        original arrival.
+        """
         return (self.faults is not None and self.faults.enabled) or self.autoscaler is not None
 
 
@@ -278,7 +284,8 @@ class FleetSimulator:
     Every replica shares one :class:`StepCostModel` (pass ``step_cost`` to
     share it wider, e.g. across the scenarios of a sweep).  ``router``
     accepts a :class:`RouterPolicy` *instance* to override the configured
-    policy -- the equivalence tests use it to force the interleaved path.
+    policy -- the equivalence tests use it to send a stateless policy
+    through the event-heap loop.
     """
 
     def __init__(
@@ -343,21 +350,20 @@ class FleetSimulator:
         if not requests:
             raise ConfigurationError("fleet simulation needs at least one request")
 
-        if self.fleet.resilient:
-            return self._run_resilient(requests, columns.tenant_ids)
+        resilient = self.fleet.resilient
+        if not resilient:
+            num_replicas = self.fleet.num_replicas
+            self.router.reset(num_replicas)
+            assignment = self.router.assign_batch(columns, num_replicas)
+            if assignment is not None:
+                engines = [self.simulator.engine() for _ in range(num_replicas)]
+                self._run_partitioned(engines, requests, np.asarray(assignment))
+                return self._aggregate([self.simulator.report(engine) for engine in engines])
 
-        num_replicas = self.fleet.num_replicas
-        engines = [self.simulator.engine() for _ in range(num_replicas)]
-        self.router.reset(num_replicas)
-
-        assignment = self.router.assign_batch(columns, num_replicas)
-        if assignment is not None:
-            self._run_partitioned(engines, requests, np.asarray(assignment))
-        else:
-            self._run_interleaved(engines, requests, columns.tenant_ids)
-
-        replica_reports = [self.simulator.report(engine) for engine in engines]
-        return self._aggregate(replica_reports)
+        replica_reports, outcome = self._run_resilient(requests, columns.tenant_ids)
+        # A fault-free, fixed-size fleet bills num_replicas * makespan: summing
+        # per-replica membership instead moves cost in the last bit.
+        return self._aggregate(replica_reports, resilience=outcome if resilient else None)
 
     # -- execution paths ----------------------------------------------------------------
 
@@ -372,37 +378,22 @@ class FleetSimulator:
         for engine in engines:
             engine.advance()
 
-    def _run_interleaved(
-        self, engines: List[ReplicaEngine], requests: List[Request], tenant_ids: np.ndarray
-    ) -> None:
-        """Stateful-router path: cluster-level event-horizon loop.
+    def _run_resilient(
+        self, requests: List[Request], tenant_ids: np.ndarray
+    ) -> Tuple[List[ServingReport], _ResilienceOutcome]:
+        """Per-arrival path: one event heap over the whole fleet.
 
-        For each arrival (the fleet's next event), every replica advances to
-        the arrival time through fused epochs cut at that horizon, the router
-        inspects the resulting replica states, and the request lands on the
-        chosen replica.  A final unbounded advance drains the fleet.
-        """
-        tenants = tenant_ids.tolist()
-        for index, request in enumerate(requests):
-            horizon = request.arrival_time
-            for engine in engines:
-                engine.advance(until=horizon)
-            replica = self.router.select(request, tenants[index], engines)
-            engines[replica].submit(request)
-        for engine in engines:
-            engine.advance()
-
-    def _run_resilient(self, requests: List[Request], tenant_ids: np.ndarray) -> FleetReport:
-        """Failure-aware / elastic path: one event heap over the whole fleet.
-
-        Events (arrivals and retries, replica crashes and recoveries,
-        autoscaler ticks) pop in time order; every up replica advances to
-        each event's horizon through the same fused-epoch
-        ``advance(until=...)`` core the stateful-router path uses, so the
-        pricing of the surviving work is unchanged.  A crash evacuates the
-        replica (:meth:`ReplicaEngine.fail`) and its requests re-enter the
-        router under the retry policy; a drain (autoscaler scale-down)
-        merely stops new routing and lets the replica finish its queue.
+        Runs every fleet whose router needs live replica state, and every
+        failure-aware or elastic fleet.  Events (arrivals and retries,
+        replica crashes and recoveries, autoscaler ticks) pop in time order;
+        every up replica advances to each event's horizon through fused
+        epochs cut there (``advance(until=...)``), the router inspects the
+        resulting replica states, and the request lands on the chosen
+        replica.  A crash evacuates the replica
+        (:meth:`ReplicaEngine.fail`) and its requests re-enter the router
+        under the retry policy; a drain (autoscaler scale-down) merely stops
+        new routing and lets the replica finish its queue.  A final
+        unbounded advance drains the fleet.
         """
         fleet = self.fleet
         faults = fleet.faults if fleet.faults is not None and fleet.faults.enabled else None
@@ -626,7 +617,7 @@ class FleetSimulator:
             scale_down_events=counters["scale_downs"],
             original_arrival=original_arrival,
         )
-        return self._aggregate(replica_reports, resilience=outcome)
+        return replica_reports, outcome
 
     def _window_attainment(
         self, engines: Sequence[Optional[ReplicaEngine]], window_start: float

@@ -9,12 +9,13 @@ Policies come in two strengths:
   replica index array in one NumPy pass -- the fleet simulator then runs
   each replica's partition as an independent drain, with no interleaving.
 * **Stateful** policies (least-KV-load, least-queue) inspect live replica
-  state, so the fleet must advance every replica to each arrival before
-  asking :meth:`RouterPolicy.select`.  ``assign_batch`` returns ``None`` to
-  request that interleaved path.
+  state, so the fleet's event-heap loop advances every replica to each
+  arrival before asking :meth:`RouterPolicy.select`.  ``assign_batch``
+  returns ``None`` to request that per-arrival path.
 
 Every policy implements :meth:`select` (the one-at-a-time form), so the
-interleaved path works for all of them -- the equivalence between the two
+per-arrival path works for all of them; it is also how failure-aware and
+elastic fleets route, whatever the policy.  The equivalence between the two
 paths for stateless policies is pinned in ``tests/serving/test_fleet.py``.
 Ties in the stateful policies break on replica index, keeping the whole
 fleet simulation deterministic.

@@ -22,10 +22,12 @@ Registered study                            Paper artifact
 ``fleet_resilience``                        beyond the paper: fleet resilience
 ==========================================  ==================================
 
-The thin public drivers in :mod:`repro.analysis.experiments` and
-:mod:`repro.dse.scaling` call these builders and run the result, so the
-declarations here are the single source of truth for what each artifact
-sweeps.
+Run one with ``paper.<builder>(...).run()`` or ``get_study(name, ...).run()``;
+the declarations here are the single source of truth for what each artifact
+sweeps.  Two artifacts need one step beyond the table: Fig. 3's raw
+:class:`~repro.calibration.gemv.GemvValidationResult` is
+``runner.evaluate(next(fig3_gemv_validation().scenarios()))``, and Fig. 9's
+dashed reference lines come from :func:`h100_reference_latency`.
 """
 
 from __future__ import annotations
@@ -558,6 +560,43 @@ def inference_memory_scaling(
     )
 
 
+def h100_reference_latency(
+    model: "TransformerConfig | str" = "Llama2-13B",
+    num_gpus: int = 2,
+    batch_size: int = 1,
+    prompt_tokens: int = 200,
+    generated_tokens: int = 200,
+    precision: Precision = Precision.FP16,
+    runner: Optional[SweepRunner] = None,
+) -> float:
+    """The H100-HBM3e reference latency drawn as a dashed line in Fig. 9.
+
+    Deliberately not a registered study: the Fig.-9 table is the DRAM sweep
+    alone, and the reference lines are drawn over it.
+    """
+    runner = runner or default_runner()
+    system = build_system(
+        "H100",
+        num_devices=num_gpus,
+        intra_node="NVLink4",
+        inter_node="NDR-IB",
+        devices_per_node=8,
+        name=f"H100x{num_gpus}",
+    )
+    report = runner.evaluate(
+        Scenario.inference(
+            system,
+            model,
+            batch_size=batch_size,
+            prompt_tokens=prompt_tokens,
+            generated_tokens=generated_tokens,
+            tensor_parallel=num_gpus,
+            precision=precision,
+        )
+    )
+    return report.total_latency
+
+
 # ---------------------------------------------------------------------------
 # Beyond the paper: the request-level serving frontier
 # ---------------------------------------------------------------------------
@@ -741,10 +780,10 @@ def fleet_resilience(
 
     ``mtbf_s`` sweeps the per-replica mean time between failures, with the
     sentinel ``0`` meaning *faults disabled* (the baseline row every other
-    point is compared against -- it runs the exact non-resilient fleet
-    path).  ``router`` varies how lost requests are re-spread, and
-    ``retry_max_attempts`` prices how much re-prefill work the retry policy
-    is willing to buy before declaring a request failed.
+    point is compared against -- a plain fault-free fleet).  ``router``
+    varies how lost requests are re-spread, and ``retry_max_attempts``
+    prices how much re-prefill work the retry policy is willing to buy
+    before declaring a request failed.
     """
     system = build_system(
         gpu,

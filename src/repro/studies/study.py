@@ -3,10 +3,10 @@
 A :class:`Study` declares *what* to sweep -- a scenario kind, named axes,
 fixed parameters, derived metrics -- and leaves the *how* (deduplication,
 caching, executors, streaming progress) to the shared
-:class:`~repro.sweep.runner.SweepRunner`.  Every paper table/figure driver in
-:mod:`repro.analysis.experiments` and both :mod:`repro.dse.scaling` case
-studies are registered Study declarations (see :mod:`repro.studies.paper`);
-user-defined sweeps use exactly the same surface::
+:class:`~repro.sweep.runner.SweepRunner`.  Every paper table/figure and both
+technology-scaling case studies are registered Study declarations (see
+:mod:`repro.studies.paper`); user-defined sweeps use exactly the same
+surface::
 
     study = Study(
         name="llama-batch-scan",

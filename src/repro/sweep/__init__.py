@@ -6,19 +6,18 @@ Public surface:
   evaluation (system + model + parallelism + workload knobs) with a
   canonical cache key.
 * :class:`~repro.sweep.runner.SweepRunner` -- deduplicates, caches, and
-  executes scenario grids serially or across a thread/process pool; the
-  serial path prices each generation of unique scenarios through the
-  cross-scenario batch planner (:mod:`repro.sweep.batchplan`), and the
-  process executor shards that planning pass across workers.
+  prices each generation of unique scenarios through the cross-scenario
+  batch planner (:mod:`repro.sweep.batchplan`), in-process (``"serial"``)
+  or sharded across a process pool (``"process"``).
 * :class:`~repro.sweep.diskstore.DiskResultStore` -- persistent on-disk
   result store (``SweepRunner(disk_cache=...)``), keyed by the scenarios'
   deterministic cache keys plus a code fingerprint.
 * :func:`~repro.sweep.runner.expand_grid` -- cartesian-product helper.
 * :func:`~repro.sweep.runner.default_runner` -- the process-wide shared
-  runner the analysis and DSE layers route through.
+  runner studies route through when no runner is passed.
 * :class:`~repro.sweep.table.SweepTable` -- columnar (struct-of-NumPy-arrays)
   sweep results produced by :meth:`SweepRunner.run_table
-  <repro.sweep.runner.SweepRunner.run_table>` and the analysis drivers.
+  <repro.sweep.runner.SweepRunner.run_table>` and every study.
 """
 
 from .batchplan import BatchTimings, evaluate_pending_batched, evaluate_shard, plan_scenario, price_plans

@@ -2,11 +2,12 @@
 
 ``SweepRunner`` turns a list of :class:`~repro.sweep.scenario.Scenario`
 objects into :class:`SweepResult` rows.  It deduplicates scenarios by their
-canonical cache key, serves repeats from an LRU result cache, and evaluates
-the remaining unique scenarios through a pluggable executor::
+canonical cache key, serves repeats from an LRU result cache, and prices the
+remaining unique scenarios through the cross-scenario batch planner, either
+in-process or sharded across a process pool::
 
     runner = SweepRunner()                     # serial, in-process
-    runner = SweepRunner(executor="process")   # fan out across CPUs
+    runner = SweepRunner(executor="process")   # one planner shard per CPU
 
     results = runner.run(scenarios)
     report = runner.evaluate(scenario)         # single scenario, same cache
@@ -38,7 +39,7 @@ from .scenario import Scenario, cache_keys, evaluate_scenario
 from .table import SweepTable
 
 #: Executor names accepted by :class:`SweepRunner`.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 #: Pool reconstructions after worker crashes before falling back to serial.
 _MAX_POOL_REBUILDS = 2
@@ -142,8 +143,9 @@ class SweepRunner:
     """Expands, deduplicates, caches, and executes scenario evaluations.
 
     Attributes:
-        executor: ``"serial"``, ``"thread"``, or ``"process"``.
-        max_workers: Worker count for the pooled executors.
+        executor: ``"serial"`` or ``"process"`` (the batch planner sharded
+            across worker processes).
+        max_workers: Worker processes (and shards) of the process executor.
         cache_size: Maximum number of cached evaluation results.
         capture_errors: When True, library errors (:class:`ReproError`) are
             recorded on the result row instead of raised -- useful for grids
@@ -163,19 +165,24 @@ class SweepRunner:
             family per generation instead of per-GEMM Python loops.  The
             serial executor runs one planning pass in-process; the process
             executor shards the generation across workers (one plan + price
-            pass per shard, outcomes merged in the parent).  On by default;
-            turn off to force the one-at-a-time reference path (the cold-
-            sweep benchmarks compare both).
-        scenario_timeout: Soft stall detector for the pooled executors, in
-            seconds: whenever no pending evaluation completes for this long,
-            everything still outstanding is surfaced as a captured
-            :class:`ReproError` (counted in :attr:`SweepStats.timeouts`,
-            never cached -- a timeout is environmental, not a property of
-            the scenario) and the sweep moves on.  In the process-sharded
-            path the window scales with the largest shard.  ``None`` (the
+            pass per shard, outcomes merged in the parent) and so requires
+            it.  On by default; turn off (serial executor only) to force the
+            one-at-a-time reference path that the cold-sweep benchmark and
+            the bit-identity tests compare against.
+        scenario_timeout: Soft stall detector for the process executor, in
+            seconds per scenario of the largest shard: whenever no shard
+            completes within that window, every scenario still outstanding
+            is surfaced as a captured :class:`ReproError` (counted in
+            :attr:`SweepStats.timeouts`, never cached -- a timeout is
+            environmental, not a property of the scenario) and the sweep
+            moves on.  The abandoned worker is not killed: the pool shuts
+            down without waiting, but the interpreter joins its worker
+            processes at exit, so a stalled evaluation still delays process
+            exit until it finishes (on a 2-CPU host a 10 s stall kept a
+            0.23 s sweep's process alive for 10.6 s).  ``None`` (the
             default) waits indefinitely; ignored by the serial executor.
 
-    The pooled executors are additionally crash-tolerant: a worker process
+    The process executor is additionally crash-tolerant: a worker process
     dying (``BrokenProcessPool``) rebuilds the pool and re-runs only the
     scenarios whose outcomes were lost, and after :data:`_MAX_POOL_REBUILDS`
     rebuilds the remainder is evaluated serially in the parent with captured
@@ -194,6 +201,10 @@ class SweepRunner:
     ):
         if executor not in EXECUTORS:
             raise ConfigurationError(f"executor must be one of {EXECUTORS}, got {executor!r}")
+        if executor == "process" and not batch_planning:
+            raise ConfigurationError(
+                "the process executor shards the batch planner; batch_planning=False runs serially only"
+            )
         if cache_size < 0:
             raise ConfigurationError("cache_size must be non-negative")
         if scenario_timeout is not None and scenario_timeout <= 0:
@@ -274,7 +285,7 @@ class SweepRunner:
         ``on_result`` streams progress: it is called exactly once per input
         scenario, as soon as that scenario's result is known -- cached results
         fire before any evaluation starts, fresh ones as their evaluation
-        completes (completion order under the pooled executors, so not
+        completes (shard completion order under the process executor, so not
         necessarily input order).  The returned list is always input-ordered
         regardless.
         """
@@ -304,8 +315,8 @@ class SweepRunner:
         results: List[Optional[SweepResult]] = [None] * len(ordered)
         # When errors raise (capture off), every pending scenario is still
         # evaluated and cached first, and the error surfaced is the earliest
-        # one in *input* order -- deterministic even when the pooled
-        # executors complete out of order.
+        # one in *input* order -- deterministic even when process shards
+        # complete out of order.
         deferred_errors: List["tuple[int, ReproError]"] = []
 
         def resolve(key: str, entry: _CacheEntry, fresh: bool) -> None:
@@ -422,8 +433,9 @@ class SweepRunner:
         """Evaluate every pending scenario, streaming entries via ``on_entry``.
 
         ``on_entry`` fires once per key as its evaluation completes (input
-        order for the serial executor, completion order for the pools);
-        stats and the result cache are updated before each callback.
+        order for the serial executor, shard completion order for the
+        process executor); stats and the result cache are updated before
+        each callback.
         """
         if not pending:
             return {}
@@ -482,96 +494,46 @@ class SweepRunner:
             for key, scenario in pending.items():
                 record(key, self._evaluate_one(scenario))
             return fresh
-        if self.executor == "process" and self.batch_planning:
-            # Process-sharded planning: each worker plans + prices one
-            # contiguous shard of the generation through the batch planner,
-            # the parent merges outcomes (and their stage timings) through
-            # the normal record path.  A crashed worker breaks the whole
-            # pool, so the shards whose outcomes never landed are re-sharded
-            # onto a fresh pool (serially, in the parent, as a last resort).
-            workers = self.max_workers or os.cpu_count() or 1
-            remaining = list(pending.items())
-            rebuilds = 0
-            while remaining:
-                shards = _split_shards(remaining, workers)
-                window = (
-                    None
-                    if self.scenario_timeout is None
-                    else self.scenario_timeout * max(len(shard) for shard in shards)
-                )
-                timed_out = False
-                pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.max_workers)
-                try:
-                    futures = {pool.submit(evaluate_shard, shard): shard for shard in shards}
-                    outstanding = set(futures)
-                    while outstanding:
-                        done, outstanding = concurrent.futures.wait(
-                            outstanding,
-                            timeout=window,
-                            return_when=concurrent.futures.FIRST_COMPLETED,
-                        )
-                        if not done:
-                            timed_out = True
-                            for future in outstanding:
-                                future.cancel()
-                                for key, _ in futures[future]:
-                                    record_transient(
-                                        key, f"scenario evaluation stalled past {window:g}s (shard abandoned)"
-                                    )
-                            break
-                        for future in done:
-                            outcomes, timings = future.result()
-                            record_outcomes(outcomes)
-                            absorb_timings(timings)
-                    remaining = []
-                except concurrent.futures.process.BrokenProcessPool:
-                    with self._lock:
-                        self.stats.pool_rebuilds += 1
-                    rebuilds += 1
-                    remaining = [(key, scenario) for key, scenario in remaining if key not in fresh]
-                    if rebuilds > _MAX_POOL_REBUILDS:
-                        for key, scenario in remaining:
-                            record(key, self._evaluate_one(scenario))
-                        remaining = []
-                finally:
-                    pool.shutdown(wait=not timed_out, cancel_futures=timed_out)
-            return fresh
-        pool_cls = (
-            concurrent.futures.ThreadPoolExecutor
-            if self.executor == "thread"
-            else concurrent.futures.ProcessPoolExecutor
-        )
+        # Process-sharded planning: each worker plans + prices one contiguous
+        # shard of the generation through the batch planner, the parent merges
+        # outcomes (and their stage timings) through the normal record path.
+        # A crashed worker breaks the whole pool, so the shards whose outcomes
+        # never landed are re-sharded onto a fresh pool (serially, in the
+        # parent, as a last resort).
+        workers = self.max_workers or os.cpu_count() or 1
         remaining = list(pending.items())
         rebuilds = 0
         while remaining:
+            shards = _split_shards(remaining, workers)
+            window = (
+                None
+                if self.scenario_timeout is None
+                else self.scenario_timeout * max(len(shard) for shard in shards)
+            )
             timed_out = False
-            pool = pool_cls(max_workers=self.max_workers)
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.max_workers)
             try:
-                futures = {
-                    pool.submit(evaluate_scenario, scenario): key for key, scenario in remaining
-                }
+                futures = {pool.submit(evaluate_shard, shard): shard for shard in shards}
                 outstanding = set(futures)
                 while outstanding:
                     done, outstanding = concurrent.futures.wait(
                         outstanding,
-                        timeout=self.scenario_timeout,
+                        timeout=window,
                         return_when=concurrent.futures.FIRST_COMPLETED,
                     )
                     if not done:
                         timed_out = True
                         for future in outstanding:
                             future.cancel()
-                            record_transient(
-                                futures[future],
-                                f"scenario evaluation stalled past {self.scenario_timeout:g}s",
-                            )
+                            for key, _ in futures[future]:
+                                record_transient(
+                                    key, f"scenario evaluation stalled past {window:g}s (shard abandoned)"
+                                )
                         break
                     for future in done:
-                        try:
-                            entry = _CacheEntry(value=future.result())
-                        except ReproError as error:
-                            entry = _CacheEntry(error=error)
-                        record(futures[future], entry)
+                        outcomes, timings = future.result()
+                        record_outcomes(outcomes)
+                        absorb_timings(timings)
                 remaining = []
             except concurrent.futures.process.BrokenProcessPool:
                 with self._lock:
@@ -682,8 +644,9 @@ def expand_grid(**axes: Sequence[object]) -> Iterator[Dict[str, object]]:
         yield dict(zip(names, values))
 
 
-#: Lazily created module-level runner shared by the analysis and DSE layers,
-#: so separate tables/figures reuse each other's evaluations within a process.
+#: Lazily created module-level runner shared by every study run without an
+#: explicit runner, so separate tables/figures reuse each other's evaluations
+#: within a process.
 _SHARED_RUNNER: Optional[SweepRunner] = None
 
 

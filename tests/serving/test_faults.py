@@ -4,7 +4,8 @@ The two load-bearing invariants:
 
 * **Zero-fault identity** -- a fleet with faults disabled (``faults=None``
   or ``mtbf=inf``, no autoscaler) produces output bit-identical to the
-  non-resilient fleet path, across every router.
+  plain fleet, across every router (the stateful routers' plain reports are
+  themselves pinned in ``golden_stateful_fleet.json``).
 * **Determinism** -- fault timelines are a pure function of ``(seed, slot)``
   and a faulty fleet run is reproducible from its config alone.
 """

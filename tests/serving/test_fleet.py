@@ -1,5 +1,8 @@
 """Tests for the fleet simulator: routing, bit-identity, aggregation, cost."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -22,6 +25,11 @@ from repro.serving import (
 SYSTEM = build_system("A100", num_devices=8, intra_node="NVLink3", inter_node="HDR-IB")
 MODEL = get_model("Llama2-7B")
 
+#: ``FleetReport.to_dict()`` of the stateful routers on :func:`small_trace`,
+#: keyed ``"<router>/<num_replicas>"``.  Recorded with the arrival-interleaved
+#: loop those routers ran on before 2.0.0 moved them onto the event heap.
+GOLDEN_STATEFUL = json.loads((pathlib.Path(__file__).parent / "golden_stateful_fleet.json").read_text())
+
 
 def small_trace(rate=3.0, num_requests=24, seed=5, **kwargs):
     return TraceConfig(
@@ -40,7 +48,7 @@ def fleet_sim(fleet, **kwargs):
 
 class StatefulRoundRobin(RoundRobinRouter):
     """Round-robin with the vectorized fast path disabled: forces the
-    arrival-interleaved cluster loop while keeping the same assignment."""
+    per-arrival event-heap loop while keeping the same assignment."""
 
     def assign_batch(self, columns, num_replicas):
         return None
@@ -60,7 +68,7 @@ def test_single_replica_fleet_is_bit_identical_to_serving_simulator():
 
 
 def test_single_replica_bit_identity_holds_for_stateful_routers():
-    # Stateful routers go through the interleaved path, whose until-horizon
+    # Stateful routers go through the event-heap loop, whose until-horizon
     # epoch cuts must be invisible in the results.
     trace = small_trace()
     single = ServingSimulator(system=SYSTEM, model=MODEL).run(trace)
@@ -85,8 +93,16 @@ def test_round_robin_fleet_equals_independent_partitioned_runs():
         assert report.replicas[replica].to_dict() == independent.to_dict()
 
 
-def test_interleaved_path_matches_partitioned_path():
-    # Forcing round-robin through the stateful (interleaved) path must give
+@pytest.mark.parametrize("num_replicas", [1, 2, 3])
+@pytest.mark.parametrize("router", ["least_kv_load", "least_queue"])
+def test_stateful_routers_reproduce_pinned_reports(router, num_replicas):
+    report = fleet_sim(FleetConfig(trace=small_trace(), num_replicas=num_replicas, router=router)).run()
+    # The JSON round trip turns tuples into lists; floats survive it exactly.
+    assert json.loads(json.dumps(report.to_dict())) == GOLDEN_STATEFUL[f"{router}/{num_replicas}"]
+
+
+def test_heap_path_matches_partitioned_path():
+    # Forcing round-robin through the per-arrival event-heap loop must give
     # the exact same fleet report as the vectorized partitioned path.
     trace = small_trace(num_requests=30)
     for num_replicas in (1, 2, 3):

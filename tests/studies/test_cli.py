@@ -113,10 +113,15 @@ def test_no_command_prints_help(capsys):
     assert "usage" in capsys.readouterr().out.lower()
 
 
-@pytest.mark.parametrize("executor", ["thread"])
-def test_run_with_pooled_executor(tmp_path, executor):
-    assert main(["run", "table4_gemm_bottlenecks", "-p", "gpus=('A100',)",
-                 "--executor", executor, "--quiet"]) == 0
+def test_run_with_process_executor(tmp_path):
+    assert main(["run", "table4_gemm_bottlenecks", "-p", "gpus=('A100', 'H100')",
+                 "--executor", "process", "--max-workers", "2", "--quiet", "--no-disk-cache"]) == 0
+
+
+def test_thread_executor_is_gone(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "table4_gemm_bottlenecks", "--executor", "thread"])
+    assert "invalid choice" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -219,5 +219,5 @@ def test_execute_exposes_run_context(registered_tiny):
 
 
 def test_executor_shorthand_builds_a_runner(registered_tiny):
-    table = inference_study().run(executor="thread")
+    table = inference_study().run(executor="process")
     assert len(table) == 2

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.dse.scaling import (
-    h100_reference_latency,
-    inference_memory_scaling_study,
-    technology_node_scaling_study,
-)
 from repro.parallelism.config import ParallelismConfig
+from repro.studies import paper
 
 # A reduced sweep keeps unit tests quick; the benchmarks run the full sweep.
 _FAST_KWARGS = dict(
@@ -22,7 +18,7 @@ _FAST_KWARGS = dict(
 
 @pytest.fixture(scope="module")
 def node_rows():
-    return technology_node_scaling_study(**_FAST_KWARGS)
+    return paper.technology_node_scaling(**_FAST_KWARGS).run()
 
 
 def test_node_scaling_row_count(node_rows):
@@ -66,24 +62,24 @@ def test_node_scaling_breakdown_consistency(node_rows):
 
 
 def test_custom_parallelism_is_respected():
-    rows = technology_node_scaling_study(
+    rows = paper.technology_node_scaling(
         model="GPT-7B",
         parallelism=ParallelismConfig(data_parallel=16, tensor_parallel=4, pipeline_parallel=4, micro_batch_size=1),
         global_batch_size=128,
         num_devices=256,
         nodes=("N7",),
         combinations=[{"dram": "HBM2E", "network": "NDR-x8"}],
-    )
+    ).run()
     assert len(rows) == 1
     assert rows[0].step_time > 0
 
 
 @pytest.fixture(scope="module")
 def memory_rows():
-    return inference_memory_scaling_study(
+    return paper.inference_memory_scaling(
         gpu_counts=(2, 8),
         memory_technologies=("GDDR6", "HBM2E", "HBM3E", "HBMX"),
-    )
+    ).run()
 
 
 def test_memory_scaling_latency_decreases_with_bandwidth(memory_rows):
@@ -122,15 +118,15 @@ def test_eight_gpus_trade_memory_for_communication(memory_rows):
 
 
 def test_h100_reference_latency_reasonable():
-    latency = h100_reference_latency(num_gpus=2)
+    latency = paper.h100_reference_latency(num_gpus=2)
     assert 1.0 < latency < 3.0
 
 
 def test_memory_scaling_study_supports_exact_decode():
-    """The sweep driver threads decode_mode through to the inference engine."""
+    """The study threads decode_mode through to the inference engine."""
     kwargs = dict(gpu_counts=(2,), memory_technologies=("HBM2E",), extra_points=[])
-    average = inference_memory_scaling_study(**kwargs)
-    exact = inference_memory_scaling_study(decode_mode="exact", **kwargs)
+    average = paper.inference_memory_scaling(**kwargs).run()
+    exact = paper.inference_memory_scaling(decode_mode="exact", **kwargs).run()
     assert len(average) == len(exact) == 1
     assert exact[0].memory_time != average[0].memory_time
     assert exact[0].total_latency == pytest.approx(average[0].total_latency, rel=0.05)

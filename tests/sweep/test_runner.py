@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import MemoryCapacityError, ReproError
+from repro.errors import ConfigurationError, MemoryCapacityError
 from repro.hardware.cluster import build_system
 from repro.parallelism.config import ParallelismConfig
 from repro.sweep import Scenario, SweepRunner, default_runner, expand_grid
@@ -62,20 +62,28 @@ def test_results_preserve_input_order(system, tiny_model):
     assert [r.scenario.batch_size for r in results] == [4, 1, 2]
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_parallel_executors_match_serial(executor, system, tiny_model):
+def test_process_executor_matches_serial(system, tiny_model):
     grid = [
         Scenario.inference(system, tiny_model, batch_size=combo["batch_size"], tensor_parallel=combo["tensor_parallel"])
         for combo in expand_grid(batch_size=[1, 2], tensor_parallel=[1, 2])
     ]
     serial = [r.value.total_latency for r in SweepRunner().run(grid)]
-    parallel = [r.value.total_latency for r in SweepRunner(executor=executor, max_workers=2).run(grid)]
+    parallel = [r.value.total_latency for r in SweepRunner(executor="process", max_workers=2).run(grid)]
     assert parallel == pytest.approx(serial)
 
 
-def test_unknown_executor_rejected():
-    with pytest.raises(ReproError):
-        SweepRunner(executor="gpu")
+@pytest.mark.parametrize("executor", ["gpu", "thread"])
+def test_unknown_executor_rejected(executor):
+    with pytest.raises(ConfigurationError):
+        SweepRunner(executor=executor)
+
+
+def test_process_executor_requires_batch_planning():
+    # The process executor only shards the batch planner; the one-at-a-time
+    # reference path runs serially.
+    with pytest.raises(ConfigurationError):
+        SweepRunner(executor="process", batch_planning=False)
+    assert SweepRunner(batch_planning=False).executor == "serial"
 
 
 def test_infeasible_scenarios_raise_by_default(system):
@@ -214,8 +222,8 @@ def test_on_result_fires_cached_results_before_evaluations(system, tiny_model):
     assert [r.from_cache for r in seen] == [True, False]
 
 
-def test_on_result_with_thread_executor_covers_every_scenario(system, tiny_model):
-    runner = SweepRunner(executor="thread", max_workers=2)
+def test_on_result_with_process_executor_covers_every_scenario(system, tiny_model):
+    runner = SweepRunner(executor="process", max_workers=2)
     grid = [Scenario.inference(system, tiny_model, batch_size=batch) for batch in (1, 2, 3, 4)]
     seen = []
     results = runner.run(grid, on_result=seen.append)
@@ -235,11 +243,11 @@ def test_on_result_receives_captured_errors(system, tiny_model):
 def test_uncaptured_errors_raise_deterministically_after_evaluating_everything(system, tiny_model):
     """With capture off, every pending scenario still evaluates (and caches)
     before the earliest input's error is raised -- in input order, even under
-    a pooled executor where completion order varies."""
+    the process executor where shard completion order varies."""
     first_bad = Scenario.inference(system, "Llama2-70B", tensor_parallel=1, prompt_tokens=100)
     good = Scenario.inference(system, tiny_model)
     second_bad = Scenario.inference(system, "Llama2-70B", tensor_parallel=1, prompt_tokens=300)
-    for executor in ("serial", "thread"):
+    for executor in ("serial", "process"):
         runner = SweepRunner(executor=executor, max_workers=2)
         with pytest.raises(MemoryCapacityError):
             runner.run([first_bad, good, second_bad])
