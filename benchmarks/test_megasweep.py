@@ -17,9 +17,8 @@ headline numbers land in ``BENCH_megasweep.json`` at the repo root.  The
 grid scales via ``REPRO_MEGASWEEP_SCENARIOS`` (default 10000; CI pins the
 same value, the README's 100k row comes from
 ``REPRO_MEGASWEEP_SCENARIOS=100000``).  The >= 2x sharded-speedup assertion
-engages only on hosts with at least :data:`SHARDED_FLOOR_MIN_CPUS` CPUs --
-below that, process start-up and pickling outweigh the split (0.4-0.7x of
-serial on 2 CPUs), which the JSON still records honestly.
+engages only on multi-core hosts -- on a single CPU sharding degenerates to
+one shard plus process overhead, which the JSON still records honestly.
 """
 
 from __future__ import annotations
@@ -50,9 +49,6 @@ _ACCELERATORS = ("A100", "H100", "B200", "TPUV4")
 _TENSOR_PARALLEL = (1, 2, 4, 8)
 _BATCH_SIZES = (1, 4)
 _KV_BASE = 64
-
-#: Fewest CPUs on which the process-sharded path must beat serial by 2x.
-SHARDED_FLOOR_MIN_CPUS = 4
 
 
 def _target_scenarios() -> int:
@@ -148,7 +144,7 @@ def test_megasweep_scales_cold_sharded_and_warm(benchmark):
     assert len(warm_results) == num_scenarios
 
     sharded_speedup = cold_seconds / sharded_seconds
-    if num_cpus >= SHARDED_FLOOR_MIN_CPUS:
+    if num_cpus >= 2:
         assert sharded_speedup >= 2.0
 
     record = {

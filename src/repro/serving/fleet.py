@@ -17,7 +17,7 @@ reintroducing any per-step Python work:
   (and what makes an N=1 fleet bit-identical to :class:`ServingSimulator`).
 * **Stateful** routers (least-KV-load, least-queue) need live replica state
   at each arrival, so the fleet runs an event-heap loop at cluster level
-  (:meth:`FleetSimulator._run_resilient`): the next event is the next
+  (:meth:`FleetSimulator._run_heap`): the next event is the next
   arrival, and every replica advances to it through epoch-fused decode runs
   cut at that horizon (``ReplicaEngine.advance(until=...)``).  The epoch
   cuts change nothing but grouping, so per-replica results stay exact.
@@ -64,7 +64,7 @@ from .router import ROUTER_POLICIES, RouterPolicy, get_router
 from .scheduler import SchedulerConfig
 from .simulator import _ARRIVAL_PROBE_STEPS, _MAX_EPOCH_STEPS, ReplicaEngine, ServingSimulator
 
-# Event kinds of the resilient fleet loop, in tie-break priority order at
+# Event kinds of the event-heap fleet loop, in tie-break priority order at
 # equal timestamps: recoveries land before crashes, crashes before scaling
 # decisions, and routing happens last so it sees the settled membership.
 _EVENT_UP = 0
@@ -262,7 +262,7 @@ class FleetReport:
 
 @dataclasses.dataclass
 class _ResilienceOutcome:
-    """What the resilient loop learned beyond the per-replica reports."""
+    """What the event-heap loop learned beyond the per-replica reports."""
 
     num_requests: int
     member_times: List[float]
@@ -351,16 +351,16 @@ class FleetSimulator:
             raise ConfigurationError("fleet simulation needs at least one request")
 
         resilient = self.fleet.resilient
+        num_replicas = self.fleet.num_replicas
+        self.router.reset(num_replicas)
         if not resilient:
-            num_replicas = self.fleet.num_replicas
-            self.router.reset(num_replicas)
             assignment = self.router.assign_batch(columns, num_replicas)
             if assignment is not None:
                 engines = [self.simulator.engine() for _ in range(num_replicas)]
                 self._run_partitioned(engines, requests, np.asarray(assignment))
                 return self._aggregate([self.simulator.report(engine) for engine in engines])
 
-        replica_reports, outcome = self._run_resilient(requests, columns.tenant_ids)
+        replica_reports, outcome = self._run_heap(requests, columns.tenant_ids)
         # A fault-free, fixed-size fleet bills num_replicas * makespan: summing
         # per-replica membership instead moves cost in the last bit.
         return self._aggregate(replica_reports, resilience=outcome if resilient else None)
@@ -378,22 +378,25 @@ class FleetSimulator:
         for engine in engines:
             engine.advance()
 
-    def _run_resilient(
+    def _run_heap(
         self, requests: List[Request], tenant_ids: np.ndarray
     ) -> Tuple[List[ServingReport], _ResilienceOutcome]:
         """Per-arrival path: one event heap over the whole fleet.
 
         Runs every fleet whose router needs live replica state, and every
-        failure-aware or elastic fleet.  Events (arrivals and retries,
-        replica crashes and recoveries, autoscaler ticks) pop in time order;
-        every up replica advances to each event's horizon through fused
-        epochs cut there (``advance(until=...)``), the router inspects the
-        resulting replica states, and the request lands on the chosen
-        replica.  A crash evacuates the replica
-        (:meth:`ReplicaEngine.fail`) and its requests re-enter the router
-        under the retry policy; a drain (autoscaler scale-down) merely stops
-        new routing and lets the replica finish its queue.  A final
-        unbounded advance drains the fleet.
+        failure-aware or elastic fleet; :meth:`run` has already reset the
+        router.  Events (arrivals and retries, replica crashes and
+        recoveries, autoscaler ticks) pop in time order; every up replica
+        advances to each event's horizon through fused epochs cut there
+        (``advance(until=...)``), the router inspects the resulting replica
+        states, and the request lands on the chosen replica.  A crash
+        evacuates the replica (:meth:`ReplicaEngine.fail`) and its requests
+        re-enter the router under the retry policy; a drain (autoscaler
+        scale-down) merely stops new routing and lets the replica finish its
+        queue.  A final unbounded advance drains the fleet.
+
+        The :class:`_ResilienceOutcome` is built on every run but used only
+        when ``fleet.resilient`` is true; :meth:`run` drops it otherwise.
         """
         fleet = self.fleet
         faults = fleet.faults if fleet.faults is not None and fleet.faults.enabled else None
@@ -496,7 +499,6 @@ class FleetSimulator:
         for slot in range(fleet.num_replicas):
             join(slot, 0.0)
         peak = fleet.num_replicas
-        self.router.reset(fleet.num_replicas)
 
         if faults:
             for slot in range(max_slots):
