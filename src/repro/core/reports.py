@@ -13,8 +13,9 @@ import json
 from typing import Dict, List
 
 from ..memmodel.footprint import InferenceMemoryBreakdown, TrainingMemoryBreakdown
-from ..perf.roofline import BoundType
+from ..perf.roofline import BoundType, RooflinePoint
 from ..units import to_milliseconds
+from ..workload.operators import Operator
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,6 +60,17 @@ class KernelTimeEntry:
         data = dict(data)
         data["bound"] = BoundType(data["bound"])
         return cls(**data)
+
+
+def dram_bytes(point: RooflinePoint, op: Operator) -> float:
+    """The DRAM bytes a breakdown entry reports for one priced kernel.
+
+    Every catalog memory hierarchy names its outermost level ``DRAM``; only a
+    hierarchy without one falls back to the op's total traffic, so that
+    (summed) property is computed only when it is needed.
+    """
+    value = point.level_bytes.get("DRAM")
+    return op.bytes_total if value is None else value
 
 
 @dataclasses.dataclass(frozen=True)

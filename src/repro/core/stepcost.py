@@ -57,7 +57,7 @@ from ..perf.roofline import BoundType
 from ..workload.inference import InferencePhaseSpec
 from ..workload.operators import GEMM, Operator
 from ..workload.transformer_layer import LayerExecutionSpec, TransformerLayerBuilder
-from .reports import KernelTimeEntry, PhaseReport
+from .reports import KernelTimeEntry, PhaseReport, dram_bytes
 
 
 @dataclasses.dataclass(frozen=True)
@@ -284,7 +284,7 @@ class StepCostModel:
                     count=num_layers * repeats,
                     bound=point.bound,
                     flops=op.flops,
-                    bytes_moved=point.level_bytes.get("DRAM", op.bytes_total),
+                    bytes_moved=dram_bytes(point, op),
                 )
             )
         communication_time = 0.0
@@ -322,7 +322,7 @@ class StepCostModel:
             count=count,
             bound=head_point.bound,
             flops=lm_head.flops,
-            bytes_moved=head_point.level_bytes.get("DRAM", lm_head.bytes_total),
+            bytes_moved=dram_bytes(head_point, lm_head),
         )
         return head_point, head_time, entry
 
@@ -402,10 +402,7 @@ class StepCostModel:
                     count=num_layers * steps,
                     bound=points[median_step].bound,
                     flops=sum(op.flops for op in slot) / steps,
-                    bytes_moved=sum(
-                        point.level_bytes.get("DRAM", op.bytes_total) for op, point in zip(slot, points)
-                    )
-                    / steps,
+                    bytes_moved=sum(dram_bytes(point, op) for op, point in zip(slot, points)) / steps,
                 )
             )
         communication_time = 0.0

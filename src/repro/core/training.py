@@ -10,6 +10,11 @@ The model composes the pieces built elsewhere in the package:
 4. the pipeline schedule adds its bubble and the optimizer adds the weight
    update, and the activation-recomputation strategy adds its forward replay.
 
+:meth:`~TrainingPerformanceModel.plan` does the mapping and builds every
+operator to price (one memoized graph per layer shape and TP scope);
+:meth:`~TrainingPerformanceModel.finish` prices it.  The sweep batch planner
+prices a whole generation of plans' queries in one batch between the two.
+
 The resulting :class:`~repro.core.reports.TrainingReport` carries the same
 compute / communication / other decomposition the paper uses in its
 GPU-generation scaling study (Fig. 5) and the validation table (Table 1).
@@ -18,8 +23,9 @@ GPU-generation scaling study (Fig. 5) and the validation table (Table 1).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..caching import Memo
 from ..comm.fabric import CollectiveModel, shared_collective_model
 from ..hardware.cluster import SystemSpec
 from ..hardware.datatypes import Precision
@@ -30,15 +36,59 @@ from ..parallelism.config import ParallelismConfig
 from ..parallelism.mapper import DistributedTrainingPlan, ParallelizationMapper
 from ..perf.kernels import DeviceKernelModel
 from ..perf.roofline import BoundType
-from ..workload.operators import CollectiveKind, CommunicationOp, GEMM
+from ..workload.operators import CollectiveKind, CommunicationOp, GEMM, Operator
 from ..workload.training import TrainingMicrobatchSpec
-from ..workload.transformer_layer import TransformerLayerBuilder
-from .reports import KernelTimeEntry, TrainingReport
+from ..workload.transformer_layer import LayerExecutionSpec, TransformerLayerBuilder
+from .reports import KernelTimeEntry, TrainingReport, dram_bytes
 
 #: Bytes the optimizer touches per parameter during the update step:
 #: read FP16 gradient (2) + read/write FP32 master weight (8) + read/write the
 #: two Adam moments (16) + write the FP16 weight copy (2).
 OPTIMIZER_BYTES_PER_PARAMETER = 28.0
+
+
+@dataclasses.dataclass(frozen=True)
+class TrainingPlan:
+    """Everything :meth:`TrainingPerformanceModel.finish` prices for one step.
+
+    The operator tuples come from the model's layer memo and are shared by
+    every plan of the same layer shape and TP scope.
+
+    Attributes:
+        mapping: The distributed execution plan of the step.
+        recompute: The parsed activation-recomputation strategy.
+        layers_per_stage: Transformer layers on one pipeline stage.
+        forward_ops, backward_ops: One layer's forward / backward kernels.
+        tp_comms: One layer's TP collectives, forward then backward.
+        lm_head, pp_op, dp_op: The LM-head GEMM, the per-micro-batch pipeline
+            send and the gradient all-reduce, each ``None`` when absent.
+    """
+
+    mapping: DistributedTrainingPlan
+    recompute: RecomputeStrategy
+    layers_per_stage: int
+    forward_ops: Tuple[Operator, ...]
+    backward_ops: Tuple[Operator, ...]
+    tp_comms: Tuple[CommunicationOp, ...]
+    lm_head: Optional[GEMM]
+    pp_op: Optional[CommunicationOp]
+    dp_op: Optional[CommunicationOp]
+
+    def gemm_queries(self) -> List[GEMM]:
+        """Every GEMM the finished report will ask the kernel model to price."""
+        gemms = [op for op in self.forward_ops if isinstance(op, GEMM)]
+        gemms += [op for op in self.backward_ops if isinstance(op, GEMM)]
+        if self.lm_head is not None:
+            gemms.append(self.lm_head)
+        return gemms
+
+    def collective_queries(self) -> List[CommunicationOp]:
+        """Every non-trivial collective the report prices (trivial ones cost 0)."""
+        ops = list(self.tp_comms)
+        for op in (self.pp_op, self.dp_op):
+            if op is not None:
+                ops.append(op)
+        return [op for op in ops if not op.is_trivial]
 
 
 @dataclasses.dataclass
@@ -69,122 +119,51 @@ class TrainingPerformanceModel:
         if self.collective_model is None:
             self.collective_model = shared_collective_model(self.system)
         self._mapper = ParallelizationMapper(self.system)
+        self._layer_memo = Memo(max_size=256)  # a sweep generation needs one per layer shape
 
     # -- helpers -----------------------------------------------------------------
 
-    def _layer_kernel_times(self, spec: TrainingMicrobatchSpec) -> Dict[str, object]:
-        """Time the forward and backward kernels of one transformer layer."""
-        builder = TransformerLayerBuilder(spec.layer_spec())
-        forward_entries: List[KernelTimeEntry] = []
-        backward_entries: List[KernelTimeEntry] = []
-        forward_time = 0.0
-        backward_time = 0.0
-        for op in builder.forward_compute_ops():
-            point = self.kernel_model.evaluate(op)
-            time = self.kernel_model.time(op)
-            forward_time += time
-            forward_entries.append(
-                KernelTimeEntry(
-                    name=op.name,
-                    time=time,
-                    count=1,
-                    bound=point.bound,
-                    flops=op.flops,
-                    bytes_moved=point.level_bytes.get("DRAM", op.bytes_total),
-                )
-            )
-        for op in builder.backward_compute_ops():
-            point = self.kernel_model.evaluate(op)
-            time = self.kernel_model.time(op)
-            backward_time += time
-            backward_entries.append(
-                KernelTimeEntry(
-                    name=op.name,
-                    time=time,
-                    count=1,
-                    bound=point.bound,
-                    flops=op.flops,
-                    bytes_moved=point.level_bytes.get("DRAM", op.bytes_total),
-                )
-            )
-        return {
-            "forward_time": forward_time,
-            "backward_time": backward_time,
-            "forward_entries": forward_entries,
-            "backward_entries": backward_entries,
-            "builder": builder,
-        }
+    def _layer_ops(self, spec: LayerExecutionSpec, tp_scope: str) -> Tuple[Tuple[Operator, ...], ...]:
+        """One layer's ``(forward_ops, backward_ops, tp_comms)``.
 
-    def _tp_communication_per_layer(self, builder: TransformerLayerBuilder, scope: str) -> float:
-        """Tensor-parallel collective time of one layer, forward plus backward."""
+        Memoized per ``(spec, tp_scope)``, so steps that differ only in PP, DP
+        or recompute share one layer graph (and its operators' cached hashes).
+        Threads that miss together each build an equal graph; no lock needed.
+        """
+        key = (spec, tp_scope)
+        layer = self._layer_memo.get(key)
+        if layer is None:
+            builder = TransformerLayerBuilder(spec)
+            layer = self._layer_memo.put(
+                key,
+                (
+                    tuple(builder.forward_compute_ops()),
+                    tuple(builder.backward_compute_ops()),
+                    tuple(builder.forward_communication(scope=tp_scope))
+                    + tuple(builder.backward_communication(scope=tp_scope)),
+                ),
+            )
+        return layer
+
+    def _layer_time(self, ops: Sequence[Operator], count: int, entries: List[KernelTimeEntry]) -> float:
+        """Sum one layer's kernel times, appending each kernel's breakdown entry."""
+        kernel_model = self.kernel_model
         total = 0.0
-        for op in builder.forward_communication(scope=scope):
-            total += self.collective_model.time(op)
-        for op in builder.backward_communication(scope=scope):
-            total += self.collective_model.time(op)
+        for op in ops:
+            point = kernel_model.evaluate(op)
+            time = point.time + kernel_model.overhead(op)
+            total += time
+            entries.append(
+                KernelTimeEntry(
+                    name=op.name,
+                    time=time,
+                    count=count,
+                    bound=point.bound,
+                    flops=op.flops,
+                    bytes_moved=dram_bytes(point, op),
+                )
+            )
         return total
-
-    def _lm_head_gemm(self, spec: TrainingMicrobatchSpec) -> Optional[GEMM]:
-        """The LM-head GEMM, or ``None`` when this stage does not host it."""
-        if not spec.include_embedding:
-            return None
-        vocab_per_rank = max(1, spec.model.vocab_size // spec.tensor_parallel)
-        return GEMM(
-            name="lm_head",
-            precision=spec.precision,
-            m=spec.micro_batch * spec.seq_len,
-            n=vocab_per_rank,
-            k=spec.model.hidden_size,
-            weight_operand=True,
-        )
-
-    def _lm_head_time(self, spec: TrainingMicrobatchSpec) -> float:
-        """Forward + backward time of the LM-head GEMM when the stage hosts it."""
-        head = self._lm_head_gemm(spec)
-        if head is None:
-            return 0.0
-        # Forward plus the two backward GEMMs of the same FLOP count.
-        return 3.0 * self.kernel_model.time(head)
-
-    def _pipeline_op(self, plan: DistributedTrainingPlan) -> Optional[CommunicationOp]:
-        """The per-micro-batch pipeline send, or ``None`` without pipelining."""
-        if plan.parallelism.pipeline_parallel == 1:
-            return None
-        return CommunicationOp(
-            name="pp_p2p",
-            collective=CollectiveKind.POINT_TO_POINT,
-            data_bytes=plan.pipeline_p2p_bytes_per_microbatch,
-            group_size=2,
-            scope=plan.pp_scope,
-        )
-
-    def _pipeline_communication(self, plan: DistributedTrainingPlan) -> float:
-        """Total exposed pipeline point-to-point time per training step."""
-        op = self._pipeline_op(plan)
-        if op is None:
-            return 0.0
-        return self.collective_model.time(op) * plan.num_microbatches
-
-    def _dp_op(self, plan: DistributedTrainingPlan) -> Optional[CommunicationOp]:
-        """The gradient all-reduce, or ``None`` when DP needs no reduction."""
-        dp_plan = plan.data_parallel_plan
-        if not dp_plan.requires_all_reduce:
-            return None
-        return CommunicationOp(
-            name="dp_grad_all_reduce",
-            collective=CollectiveKind.ALL_REDUCE,
-            data_bytes=dp_plan.gradient_bytes,
-            group_size=dp_plan.data_parallel,
-            scope=plan.dp_scope,
-        )
-
-    def _dp_communication(self, plan: DistributedTrainingPlan) -> float:
-        """Exposed data-parallel gradient all-reduce time per training step."""
-        op = self._dp_op(plan)
-        if op is None:
-            return 0.0
-        exposed = 1.0 - self.overlap_dp_communication
-        return self.collective_model.time(op) * exposed
 
     def _weight_update_time(self, plan: DistributedTrainingPlan) -> float:
         """Optimizer (Adam) update time: a DRAM-streaming pass over the states."""
@@ -192,7 +171,7 @@ class TrainingPerformanceModel:
         dram = self.system.accelerator.memory.dram
         return params * OPTIMIZER_BYTES_PER_PARAMETER / (dram.bandwidth * dram.utilization)
 
-    # -- main entry point -----------------------------------------------------------
+    # -- main entry points ----------------------------------------------------------
 
     def predict(
         self,
@@ -213,24 +192,96 @@ class TrainingPerformanceModel:
             precision: Training compute precision.
             recompute: Activation recomputation strategy.
         """
+        return self.finish(
+            self.plan(
+                model,
+                parallelism,
+                global_batch_size=global_batch_size,
+                seq_len=seq_len,
+                precision=precision,
+                recompute=recompute,
+            )
+        )
+
+    def plan(
+        self,
+        model: TransformerConfig,
+        parallelism: ParallelismConfig,
+        global_batch_size: int,
+        seq_len: Optional[int] = None,
+        precision: Precision = Precision.FP16,
+        recompute: "RecomputeStrategy | str" = RecomputeStrategy.SELECTIVE,
+    ) -> TrainingPlan:
+        """Map the step onto the system and build its workload without pricing it.
+
+        Runs everything :meth:`predict` does before pricing and issues no
+        kernel or collective queries; ``finish(plan(...))`` is exactly
+        :meth:`predict`.
+
+        Raises:
+            ConfigurationError, MappingError: The recompute strategy, mapping
+                and layer-split errors :meth:`predict` raises, in that order.
+        """
         recompute = RecomputeStrategy.parse(recompute)
-        plan = self._mapper.plan_training(
+        mapping = self._mapper.plan_training(
             model,
             parallelism,
             global_batch_size=global_batch_size,
             seq_len=seq_len,
             precision=precision,
         )
-        spec = plan.microbatch_spec
         layers_per_stage = parallelism.layers_per_stage(model)
+        spec = mapping.microbatch_spec
+        forward_ops, backward_ops, tp_comms = self._layer_ops(spec.layer_spec(), mapping.tp_scope)
+        pp_op = dp_op = None
+        if parallelism.pipeline_parallel > 1:
+            pp_op = CommunicationOp(
+                name="pp_p2p",
+                collective=CollectiveKind.POINT_TO_POINT,
+                data_bytes=mapping.pipeline_p2p_bytes_per_microbatch,
+                group_size=2,
+                scope=mapping.pp_scope,
+            )
+        dp_plan = mapping.data_parallel_plan
+        if dp_plan.requires_all_reduce:
+            dp_op = CommunicationOp(
+                name="dp_grad_all_reduce",
+                collective=CollectiveKind.ALL_REDUCE,
+                data_bytes=dp_plan.gradient_bytes,
+                group_size=dp_plan.data_parallel,
+                scope=mapping.dp_scope,
+            )
+        return TrainingPlan(
+            mapping=mapping,
+            recompute=recompute,
+            layers_per_stage=layers_per_stage,
+            forward_ops=forward_ops,
+            backward_ops=backward_ops,
+            tp_comms=tp_comms,
+            lm_head=spec.lm_head_gemm() if spec.include_embedding else None,
+            pp_op=pp_op,
+            dp_op=dp_op,
+        )
 
-        layer_times = self._layer_kernel_times(spec)
-        builder: TransformerLayerBuilder = layer_times["builder"]  # type: ignore[assignment]
-        forward_layer = layer_times["forward_time"]  # type: ignore[assignment]
-        backward_layer = layer_times["backward_time"]  # type: ignore[assignment]
+    def finish(self, plan: TrainingPlan) -> TrainingReport:
+        """Price a plan into the final report (see :meth:`plan`)."""
+        mapping = plan.mapping
+        model = mapping.model
+        parallelism = mapping.parallelism
+        layers_per_stage = plan.layers_per_stage
+        microbatches = mapping.num_microbatches
 
-        tp_comm_layer = self._tp_communication_per_layer(builder, plan.tp_scope)
-        lm_head_time = self._lm_head_time(spec)
+        # Per-layer kernel times, each entry aggregated over layers and micro-batches.
+        kernel_entries: List[KernelTimeEntry] = []
+        repeats = layers_per_stage * microbatches
+        forward_layer = self._layer_time(plan.forward_ops, repeats, kernel_entries)
+        backward_layer = self._layer_time(plan.backward_ops, repeats, kernel_entries)
+
+        tp_comm_layer = 0.0
+        for op in plan.tp_comms:
+            tp_comm_layer += self.collective_model.time(op)
+        # Forward plus the two backward GEMMs of the same FLOP count.
+        lm_head_time = 0.0 if plan.lm_head is None else 3.0 * self.kernel_model.time(plan.lm_head)
 
         # Per-micro-batch, per-stage times.
         compute_per_microbatch = (forward_layer + backward_layer) * layers_per_stage + lm_head_time
@@ -240,49 +291,45 @@ class TrainingPerformanceModel:
         activation_model = ActivationModel(
             model=model,
             micro_batch=parallelism.micro_batch_size,
-            seq_len=plan.seq_len,
+            seq_len=mapping.seq_len,
             tensor_parallel=parallelism.tensor_parallel,
             sequence_parallel=parallelism.sequence_parallel,
-            precision=precision,
+            precision=mapping.precision,
         )
-        recompute_fraction = activation_model.recompute_flops_overhead(recompute)
+        recompute_fraction = activation_model.recompute_flops_overhead(plan.recompute)
         recompute_per_microbatch = recompute_fraction * forward_layer * layers_per_stage
 
-        microbatches = plan.num_microbatches
         compute_time = compute_per_microbatch * microbatches
         recompute_time = recompute_per_microbatch * microbatches
         tp_comm_time = tp_comm_per_microbatch * microbatches
 
         # The bubble applies to everything that streams through the pipeline.
         ideal_pipeline_time = compute_time + recompute_time + tp_comm_time
-        bubble_time = plan.pipeline.bubble_fraction * ideal_pipeline_time
+        bubble_time = mapping.pipeline.bubble_fraction * ideal_pipeline_time
 
-        pp_comm_time = self._pipeline_communication(plan)
-        dp_comm_time = self._dp_communication(plan)
-        weight_update_time = self._weight_update_time(plan)
+        # One pipeline send per micro-batch; the DP all-reduce minus its overlap.
+        pp_comm_time = 0.0 if plan.pp_op is None else self.collective_model.time(plan.pp_op) * microbatches
+        dp_comm_time = 0.0
+        if plan.dp_op is not None:
+            dp_comm_time = self.collective_model.time(plan.dp_op) * (1.0 - self.overlap_dp_communication)
+        weight_update_time = self._weight_update_time(mapping)
 
         memory = training_memory_breakdown(
             model,
             parallelism,
-            global_batch_size=global_batch_size,
-            seq_len=plan.seq_len,
-            precision=precision,
-            strategy=recompute,
+            global_batch_size=mapping.global_batch_size,
+            seq_len=mapping.seq_len,
+            precision=mapping.precision,
+            strategy=plan.recompute,
         )
-
-        # Aggregate the per-layer kernel entries over layers and micro-batches.
-        kernel_entries: List[KernelTimeEntry] = []
-        repeats = layers_per_stage * microbatches
-        for entry in layer_times["forward_entries"] + layer_times["backward_entries"]:  # type: ignore[operator]
-            kernel_entries.append(dataclasses.replace(entry, count=repeats))
 
         return TrainingReport(
             model_name=model.name,
             system_name=self.system.name,
             parallelism_label=parallelism.label,
-            global_batch_size=global_batch_size,
-            seq_len=plan.seq_len,
-            recompute_strategy=recompute.value,
+            global_batch_size=mapping.global_batch_size,
+            seq_len=mapping.seq_len,
+            recompute_strategy=plan.recompute.value,
             compute_time=compute_time,
             recompute_time=recompute_time,
             tp_communication_time=tp_comm_time,
@@ -293,53 +340,6 @@ class TrainingPerformanceModel:
             memory=memory,
             kernel_breakdown=kernel_entries,
         )
-
-    def predict_queries(
-        self,
-        model: TransformerConfig,
-        parallelism: ParallelismConfig,
-        global_batch_size: int,
-        seq_len: Optional[int] = None,
-        precision: Precision = Precision.FP16,
-        recompute: "RecomputeStrategy | str" = RecomputeStrategy.SELECTIVE,
-    ) -> Tuple[List[GEMM], List[CommunicationOp]]:
-        """The GEMM and collective queries one :meth:`predict` call prices.
-
-        The sweep batch planner (:mod:`repro.sweep.batchplan`) uses this to
-        collect every kernel/collective query of a whole generation of
-        training scenarios, price each family in one vectorized call, seed
-        the shared memos, and then re-run :meth:`predict` warm.  The op
-        construction goes through the same helpers :meth:`predict` uses, so
-        the two can not drift apart.  Raises the same mapping/configuration
-        errors :meth:`predict` raises while building the plan.
-
-        Returns ``(gemms, comm_ops)``; trivial collectives (which the
-        collective model prices as zero without touching its memo) are
-        dropped.
-        """
-        plan = self._mapper.plan_training(
-            model,
-            parallelism,
-            global_batch_size=global_batch_size,
-            seq_len=seq_len,
-            precision=precision,
-        )
-        spec = plan.microbatch_spec
-        builder = TransformerLayerBuilder(spec.layer_spec())
-        gemms = [op for op in builder.forward_compute_ops() if isinstance(op, GEMM)]
-        gemms += [op for op in builder.backward_compute_ops() if isinstance(op, GEMM)]
-        head = self._lm_head_gemm(spec)
-        if head is not None:
-            gemms.append(head)
-        comm_ops = list(builder.forward_communication(scope=plan.tp_scope))
-        comm_ops += builder.backward_communication(scope=plan.tp_scope)
-        pp_op = self._pipeline_op(plan)
-        if pp_op is not None:
-            comm_ops.append(pp_op)
-        dp_op = self._dp_op(plan)
-        if dp_op is not None:
-            comm_ops.append(dp_op)
-        return gemms, [op for op in comm_ops if not op.is_trivial]
 
     # -- auxiliary analyses ------------------------------------------------------------
 

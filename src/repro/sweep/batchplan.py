@@ -20,18 +20,19 @@ The results are bit-for-bit identical to per-scenario evaluation: the batched
 backend mirrors the scalar model's floating-point operation order (the
 contract pinned by ``tests/perf/test_batched.py``), and every plan assembles
 its result either from the very :class:`~repro.perf.roofline.RooflinePoint`
-objects the batch materializes (columnar mode) or by re-running the normal
-evaluation path against a memo warmed with those points (warm mode).
-Equivalence across scenario kinds is pinned by
-``tests/sweep/test_batchplan.py``.
+objects the batch materializes (columnar mode) or by running its normal
+assembly against a memo warmed with those points (warm mode).  Equivalence
+across scenario kinds is pinned by ``tests/sweep/test_batchplan.py``.
 
-Training scenarios batch both query families: the planner collects every
-forward/backward/lm-head GEMM *and* every TP/PP/DP collective of a
-generation of :meth:`TrainingPerformanceModel.predict` graphs (via
-:meth:`~repro.core.training.TrainingPerformanceModel.predict_queries`),
-prices the GEMMs in one :meth:`evaluate_batch` per gemm model and the
-collectives in one :meth:`CollectiveModel.evaluate_batch` per collective
-model, seeds the shared memos, and re-runs the normal prediction warm.
+Inference and training scenarios are planned by their model's ``plan()`` and
+assembled by its ``finish(plan)``: the two halves of the direct ``predict``,
+so each workload graph is built once.  Training batches both query
+families: the planner collects every forward/backward/lm-head GEMM *and*
+every TP/PP/DP collective of a generation of
+:class:`~repro.core.training.TrainingPlan` objects, prices the GEMMs in one
+:meth:`evaluate_batch` per gemm model and the collectives in one
+:meth:`CollectiveModel.evaluate_batch` per collective model, and seeds the
+shared memos ``finish`` then reads.
 
 Scenario kinds without a batchable pricing phase (serving, the memory
 breakdowns, the GEMV validation) are left to the normal
@@ -121,8 +122,8 @@ class ScenarioPlan:
             object so one batch warms one memo.
         gemms: Every GEMM query the evaluation will make.
         columnar: Assembly mode.  Columnar plans consume the batch result's
-            rows directly (``assemble(result, rows)``); warm plans re-run the
-            normal evaluation path after the shared memo has been seeded
+            rows directly (``assemble(result, rows)``); warm plans price
+            their already-built workload against the seeded shared memos
             (``assemble()``).
         assemble: The result-assembly closure (see ``columnar``).
         rows: Row indices of :attr:`gemms` inside the shared batch
@@ -314,7 +315,7 @@ def plan_scenario(scenario: Scenario) -> Optional[ScenarioPlan]:
     if kind is ScenarioKind.TRAINING:
         engine = engine_for(scenario.system)
         training_model = engine.training_model
-        gemms, comm_ops = training_model.predict_queries(
+        training_plan = training_model.plan(
             scenario.model,
             scenario.parallelism,
             global_batch_size=scenario.global_batch_size,
@@ -322,25 +323,14 @@ def plan_scenario(scenario: Scenario) -> Optional[ScenarioPlan]:
             precision=scenario.precision,
             recompute=scenario.recompute,
         )
-
-        def assemble_training(scenario: Scenario = scenario, engine=engine) -> object:
-            return engine.predict_training(
-                scenario.model,
-                scenario.parallelism,
-                global_batch_size=scenario.global_batch_size,
-                seq_len=scenario.seq_len,
-                precision=scenario.precision,
-                recompute=scenario.recompute,
-            )
-
         return ScenarioPlan(
             scenario=scenario,
             gemm_model=engine.kernel_model.gemm_model,
-            gemms=gemms,
+            gemms=training_plan.gemm_queries(),
             columnar=False,
-            assemble=assemble_training,
+            assemble=lambda plan=training_plan, model=training_model: model.finish(plan),
             collective_model=training_model.collective_model,
-            comm_ops=comm_ops,
+            comm_ops=training_plan.collective_queries(),
         )
     if kind is ScenarioKind.INFERENCE:
         engine = engine_for(scenario.system)

@@ -62,18 +62,16 @@ class TrainingMicrobatchSpec:
             with_dropout=True,
         )
 
-
-def _lm_head_gemm(spec: TrainingMicrobatchSpec) -> GEMM:
-    """The logits GEMM of the last pipeline stage, sharded over the TP group."""
-    vocab_per_rank = max(1, spec.model.vocab_size // spec.tensor_parallel)
-    return GEMM(
-        name="lm_head",
-        precision=spec.precision,
-        m=spec.micro_batch * spec.seq_len,
-        n=vocab_per_rank,
-        k=spec.model.hidden_size,
-        weight_operand=True,
-    )
+    def lm_head_gemm(self) -> GEMM:
+        """The logits GEMM of the last pipeline stage, sharded over the TP group."""
+        return GEMM(
+            name="lm_head",
+            precision=self.precision,
+            m=self.micro_batch * self.seq_len,
+            n=max(1, self.model.vocab_size // self.tensor_parallel),
+            k=self.model.hidden_size,
+            weight_operand=True,
+        )
 
 
 def build_forward_graph(spec: TrainingMicrobatchSpec, tp_scope: str = "intra_node") -> TaskGraph:
@@ -88,7 +86,7 @@ def build_forward_graph(spec: TrainingMicrobatchSpec, tp_scope: str = "intra_nod
         for op in ops:
             last = graph.add(op, deps=[last] if last is not None else [], tags=tags)
     if spec.include_embedding:
-        last = graph.add(_lm_head_gemm(spec), deps=[last] if last is not None else [], tags=["lm_head", "forward"])
+        last = graph.add(spec.lm_head_gemm(), deps=[last] if last is not None else [], tags=["lm_head", "forward"])
     return graph
 
 
@@ -98,7 +96,7 @@ def build_backward_graph(spec: TrainingMicrobatchSpec, tp_scope: str = "intra_no
     builder = TransformerLayerBuilder(spec.layer_spec())
     last: Optional[int] = None
     if spec.include_embedding:
-        head = _lm_head_gemm(spec)
+        head = spec.lm_head_gemm()
         dgrad = GEMM(
             name="lm_head_dgrad",
             precision=head.precision,

@@ -9,9 +9,9 @@ generation of scenarios through one vectorized roofline call.
 
 import pytest
 
-from repro.errors import MemoryCapacityError
+from repro.errors import MemoryCapacityError, ReproError
 from repro.hardware.datatypes import Precision
-from repro.sweep import Scenario, SweepRunner, expand_grid
+from repro.sweep import Scenario, SweepRunner, evaluate_scenario, expand_grid
 from repro.sweep.batchplan import (
     clear_plan_caches,
     decode_layer_gemms,
@@ -107,15 +107,25 @@ def test_mixed_kinds_interleave_batched_and_fallback(tiny_model):
 def test_plan_time_errors_are_captured_like_evaluation_errors(tiny_model):
     # Llama2-70B FP16 weights do not fit one A100: the admission check fires
     # at plan time in the batched path, at evaluation time in the reference.
-    scenarios = [
-        Scenario.inference("A100", "Llama2-70B", tensor_parallel=1),
-        Scenario.inference("A100", tiny_model, generated_tokens=16),
+    # The training corners fail their mapping: PP does not divide the 4
+    # layers, DP does not divide the batch, the system has too few devices.
+    infeasible = [Scenario.inference("A100", "Llama2-70B", tensor_parallel=1)] + [
+        Scenario.training("A100x4", tiny_model, label, global_batch_size=8)
+        for label in ("1-1-3-1", "3-1-1-1", "8-1-1-1")
     ]
+    scenarios = infeasible + [Scenario.inference("A100", tiny_model, generated_tokens=16)]
     batched, batched_results, reference, reference_results = _run_both(scenarios, capture_errors=True)
     assert [r.error for r in batched_results] == [r.error for r in reference_results]
-    assert batched_results[0].error is not None
-    assert batched_results[1].value == reference_results[1].value
-    assert batched.stats.errors == reference.stats.errors == 1
+    assert all(r.error is not None for r in batched_results[:-1])
+    assert batched_results[-1].value == reference_results[-1].value
+    assert batched.stats.errors == reference.stats.errors == len(infeasible)
+    # The planner captures the very error type the direct evaluation raises.
+    outcomes = evaluate_pending_batched({scenario.cache_key(): scenario for scenario in infeasible})
+    for scenario, outcome in zip(infeasible, outcomes):
+        with pytest.raises(ReproError) as direct:
+            evaluate_scenario(scenario)
+        assert outcome.batched
+        assert (type(outcome.error), str(outcome.error)) == (type(direct.value), str(direct.value))
 
 
 def test_uncaptured_errors_raise_the_earliest_input_error(tiny_model):

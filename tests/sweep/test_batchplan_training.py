@@ -8,6 +8,7 @@ from repro.sweep import (
     Scenario,
     SweepRunner,
     clear_engine_cache,
+    engine_for,
     evaluate_pending_batched,
     evaluate_shard,
 )
@@ -70,6 +71,33 @@ def test_training_mixed_with_other_kinds_is_bit_identical(tiny_model):
             assert ours.value.to_dict() == theirs.value.to_dict()
         else:
             assert ours.value == theirs.value
+
+
+def test_training_plans_share_layer_graphs_until_cold_reset(tiny_model):
+    # Same layer shape and TP scope; only DP/PP and recompute differ.
+    scenarios = [
+        Scenario.training("A100x8", tiny_model, label, global_batch_size=16, recompute=recompute)
+        for label, recompute in (("4-2-1-1", "selective"), ("1-2-4-1", "selective"), ("2-2-2-1", "full"))
+    ]
+
+    def plan(scenario):
+        return engine_for(scenario.system).training_model.plan(
+            scenario.model,
+            scenario.parallelism,
+            global_batch_size=scenario.global_batch_size,
+            recompute=scenario.recompute,
+        )
+
+    clear_engine_cache()
+    first, *others = [plan(scenario) for scenario in scenarios]
+    for other in others:
+        assert other.forward_ops is first.forward_ops
+        assert other.backward_ops is first.backward_ops
+        assert other.tp_comms is first.tp_comms
+    clear_engine_cache()
+    cold = plan(scenarios[0])
+    assert cold.forward_ops is not first.forward_ops
+    assert cold.forward_ops == first.forward_ops
 
 
 # ---------------------------------------------------------------------------

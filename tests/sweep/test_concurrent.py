@@ -25,6 +25,11 @@ def _grid(system, model, batches):
     return [Scenario.inference(system, model, batch_size=batch) for batch in batches]
 
 
+def _training_grid(system, model, batches):
+    # One layer shape for every scenario: the threads race on one layer-graph memo entry.
+    return [Scenario.training(system, model, "2-2-2-1", global_batch_size=2 * batch) for batch in batches]
+
+
 def _run_threads(runner, grids, results, errors):
     """Run each grid on its own thread, all released by one barrier."""
     barrier = threading.Barrier(len(grids))
@@ -96,22 +101,23 @@ def test_concurrent_stats_account_for_every_input(system, tiny_model):
 
 
 def test_many_threads_hammering_one_grid(system, tiny_model):
-    shared = SweepRunner()
-    grid_batches = [1, 2, 4, 8]
-    thread_count = 6
-    results = [None] * thread_count
-    errors = []
-    _run_threads(
-        shared,
-        [_grid(system, tiny_model, grid_batches) for _ in range(thread_count)],
-        results,
-        errors,
-    )
+    for grid in (_grid, _training_grid):
+        shared = SweepRunner()
+        grid_batches = [1, 2, 4, 8]
+        thread_count = 6
+        results = [None] * thread_count
+        errors = []
+        _run_threads(
+            shared,
+            [grid(system, tiny_model, grid_batches) for _ in range(thread_count)],
+            results,
+            errors,
+        )
 
-    assert errors == []
-    tables = [json.loads(table.to_json()) for table in results]
-    assert all(table == tables[0] for table in tables[1:])
-    assert shared.stats.evaluations + shared.stats.cache_hits == thread_count * len(grid_batches)
+        assert errors == []
+        tables = [json.loads(table.to_json()) for table in results]
+        assert all(table == tables[0] for table in tables[1:])
+        assert shared.stats.evaluations + shared.stats.cache_hits == thread_count * len(grid_batches)
 
 
 def test_concurrent_threads_share_disk_store(system, tiny_model, tmp_path):
