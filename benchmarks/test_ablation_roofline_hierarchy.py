@@ -22,7 +22,7 @@ from repro.models.zoo import get_model
 from repro.perf.gemm import GemmTimeModel
 from repro.perf.roofline import BoundType
 from repro.workload.operators import GEMM
-from repro.workload.transformer_layer import LayerExecutionSpec, TransformerLayerBuilder
+from repro.workload.transformer_layer import LayerTemplate
 
 
 def _flat(accelerator):
@@ -37,10 +37,7 @@ def _sweep():
         accelerator = get_accelerator("A100").with_dram(dram, keep_capacity=True)
         hierarchical = GemmTimeModel(accelerator=accelerator)
         flat = GemmTimeModel(accelerator=_flat(accelerator))
-        spec = LayerExecutionSpec(
-            model=llama, micro_batch=1, seq_len=1, kv_len=300, with_dropout=False, use_kv_cache=True
-        )
-        gemms = TransformerLayerBuilder(spec).forward_gemms()
+        gemms = LayerTemplate(llama, with_dropout=False, use_kv_cache=True).forward_gemms(1, 1, 300)
         rows.append(
             {
                 "dram": dram,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..caching import Memo
 from ..hardware.accelerator import AcceleratorSpec
 from ..hardware.datatypes import Precision
 from ..models.transformer import TransformerConfig
@@ -21,7 +22,7 @@ from ..perf.gemm import GemmTimeModel
 from ..perf.kernels import DeviceKernelModel
 from ..perf.roofline import BoundType, RooflinePoint
 from ..workload.operators import GEMM
-from ..workload.transformer_layer import LayerExecutionSpec, TransformerLayerBuilder
+from ..workload.transformer_layer import layer_template
 from .reports import GemmBottleneckEntry
 
 
@@ -33,26 +34,24 @@ def layer_gemms(
     tensor_parallel: int,
     precision: Precision,
     use_kv_cache: bool,
+    templates: Optional[Memo] = None,
 ) -> List[GEMM]:
     """The forward GEMMs of one inference layer at the given shapes.
 
     This is the workload description behind :func:`prefill_gemm_table` and
     :func:`decode_gemm_table`; the cross-scenario batch planner
-    (:mod:`repro.sweep.batchplan`) reuses it to collect the same queries
-    without pricing them.
+    (:mod:`repro.sweep.batchplan`) reuses it, with its own memo of layer
+    ``templates``, to collect the same queries without pricing them.
     """
-    spec = LayerExecutionSpec(
-        model=model,
-        micro_batch=batch_size,
-        seq_len=seq_len,
-        kv_len=kv_len,
+    template = layer_template(
+        templates,
+        model,
         tensor_parallel=tensor_parallel,
-        sequence_parallel=False,
         precision=precision,
         with_dropout=False,
         use_kv_cache=use_kv_cache,
     )
-    return TransformerLayerBuilder(spec).forward_gemms()
+    return template.forward_gemms(batch_size, seq_len, kv_len)
 
 
 def entries_from_points(gemms: List[GEMM], points: List[RooflinePoint]) -> List[GemmBottleneckEntry]:
@@ -145,17 +144,11 @@ def attention_layer_gemms(
     seq_len: int,
     tensor_parallel: int = 1,
     precision: Precision = Precision.FP16,
+    templates: Optional[Memo] = None,
 ) -> List[GEMM]:
-    """The forward GEMMs of the training-layer bound breakdown below."""
-    spec = LayerExecutionSpec(
-        model=model,
-        micro_batch=micro_batch,
-        seq_len=seq_len,
-        tensor_parallel=tensor_parallel,
-        precision=precision,
-        with_dropout=True,
-    )
-    return TransformerLayerBuilder(spec).forward_gemms()
+    """The forward GEMMs of the training-layer bound breakdown below (``templates`` as in :func:`layer_gemms`)."""
+    template = layer_template(templates, model, tensor_parallel=tensor_parallel, precision=precision)
+    return template.forward_gemms(micro_batch, seq_len)
 
 
 def attention_layer_bound_breakdown(

@@ -20,15 +20,16 @@ The decode phase supports two pricing modes (``decode_mode``):
   roofline backend (:mod:`repro.perf.batched`), so exact pricing stays cheap.
 
 All per-phase pricing lives in the reusable step-cost layer
-(:class:`~repro.core.stepcost.StepCostModel`); this module supplies the
-request-level workload description, the memory admission check, and the
+(:class:`~repro.core.stepcost.StepCostModel`), and every operator comes from
+that layer's templates; this module supplies the request-level
+workload description, the memory admission check, and the
 :class:`~repro.core.reports.InferenceReport` assembly on top of it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence
 
 from ..comm.fabric import CollectiveModel
 from ..errors import ConfigurationError, MemoryCapacityError
@@ -39,7 +40,6 @@ from ..models.transformer import TransformerConfig
 from ..perf.kernels import DeviceKernelModel
 from ..workload.inference import InferencePhaseSpec
 from ..workload.operators import GEMM, Operator
-from ..workload.transformer_layer import TransformerLayerBuilder
 from .reports import InferenceReport
 from .stepcost import StepCostModel
 
@@ -65,37 +65,33 @@ class InferencePlan:
         spec: The validated request description.
         memory: The per-device memory breakdown (already admission-checked).
         decode_mode: Resolved decode pricing mode (``"average"``/``"exact"``).
-        tp_scope: Collective scope of the tensor-parallel group.
         lm_head: The logits GEMM, or ``None``.
         prefill_ops: Compute operators of one prefill layer.
         prefill_comms: Communication operators of one prefill layer.
+        decode_comms: Communication operators of one decode-step layer.
         decode_ops: Compute operators of the representative decode layer
             (average mode only).
-        decode_comms: Its communication operators (average mode only).
-        decode_prepared: Per-step builders and operator lists (exact mode
-            only; see :meth:`StepCostModel.decode_exact_prepared`).
+        decode_steps: One decode layer's compute operators per generated
+            token, at its true KV length (exact mode only).
     """
 
     spec: InferencePhaseSpec
     memory: InferenceMemoryBreakdown
     decode_mode: str
-    tp_scope: str
     lm_head: Optional[GEMM]
-    prefill_ops: List[Operator]
-    prefill_comms: List[Operator]
-    decode_ops: Optional[List[Operator]] = None
-    decode_comms: Optional[List[Operator]] = None
-    decode_prepared: Optional[Tuple[List[TransformerLayerBuilder], List[List[Operator]]]] = None
+    prefill_ops: Sequence[Operator]
+    prefill_comms: Sequence[Operator]
+    decode_comms: Sequence[Operator]
+    decode_ops: Optional[Sequence[Operator]] = None
+    decode_steps: Optional[List[Sequence[Operator]]] = None
 
     def gemm_queries(self) -> List[GEMM]:
         """Every GEMM the finished report will ask the kernel model to price."""
         gemms = [op for op in self.prefill_ops if isinstance(op, GEMM)]
         if self.decode_ops is not None:
             gemms.extend(op for op in self.decode_ops if isinstance(op, GEMM))
-        if self.decode_prepared is not None:
-            gemms.extend(
-                op for ops in self.decode_prepared[1] for op in ops if isinstance(op, GEMM)
-            )
+        if self.decode_steps is not None:
+            gemms.extend(op for ops in self.decode_steps for op in ops if isinstance(op, GEMM))
         if self.lm_head is not None:
             gemms.append(self.lm_head)
         return gemms
@@ -233,22 +229,24 @@ class InferencePerformanceModel:
             )
 
         tp_scope = self.step_cost.tp_scope(tensor_parallel)
-        prefill_builder = TransformerLayerBuilder(spec.prefill_layer_spec())
+        template = self.step_cost.template(model, tensor_parallel, precision)
+        prefill = spec.prefill_layer_spec()
+        decode = spec.decode_layer_spec(spec.average_decode_kv_len)
         plan = InferencePlan(
             spec=spec,
             memory=memory,
             decode_mode=decode_mode,
-            tp_scope=tp_scope,
-            lm_head=self.step_cost.lm_head_gemm(spec),
-            prefill_ops=prefill_builder.forward_compute_ops(),
-            prefill_comms=prefill_builder.forward_communication(scope=tp_scope),
+            lm_head=template.lm_head(batch_size) if include_lm_head else None,
+            prefill_ops=template.forward_compute_ops(*prefill.shape),
+            prefill_comms=template.forward_communication(prefill.tokens, tp_scope),
+            decode_comms=template.forward_communication(decode.tokens, tp_scope),
         )
         if decode_mode == "exact":
-            plan.decode_prepared = self.step_cost.decode_exact_prepared(spec)
+            plan.decode_steps = [
+                template.forward_compute_ops(batch_size, 1, prompt_tokens + step) for step in range(generated_tokens)
+            ]
         else:
-            decode_builder = TransformerLayerBuilder(spec.decode_layer_spec(spec.average_decode_kv_len))
-            plan.decode_ops = decode_builder.forward_compute_ops()
-            plan.decode_comms = decode_builder.forward_communication(scope=tp_scope)
+            plan.decode_ops = template.forward_compute_ops(*decode.shape)
         return plan
 
     def finish(self, plan: InferencePlan) -> InferenceReport:
@@ -257,32 +255,27 @@ class InferencePerformanceModel:
         model = spec.model
         prefill = self.step_cost.phase_report(
             name="prefill",
-            builder=None,
+            ops=plan.prefill_ops,
+            comms=plan.prefill_comms,
             num_layers=model.num_layers,
             lm_head=plan.lm_head,
             repeats=1,
-            tp_scope=plan.tp_scope,
-            ops=plan.prefill_ops,
-            comms=plan.prefill_comms,
         )
         if plan.decode_mode == "exact":
             decode = self.step_cost.decode_report_exact(
-                spec,
+                plan.decode_steps,
+                comms=plan.decode_comms,
                 num_layers=model.num_layers,
                 lm_head=plan.lm_head,
-                tp_scope=plan.tp_scope,
-                prepared=plan.decode_prepared,
             )
         else:
             decode = self.step_cost.phase_report(
                 name="decode",
-                builder=None,
+                ops=plan.decode_ops,
+                comms=plan.decode_comms,
                 num_layers=model.num_layers,
                 lm_head=plan.lm_head,
                 repeats=max(0, spec.generated_tokens),
-                tp_scope=plan.tp_scope,
-                ops=plan.decode_ops,
-                comms=plan.decode_comms,
             )
         return InferenceReport(
             model_name=model.name,

@@ -30,6 +30,13 @@ vectorized roofline backend (:meth:`GemmTimeModel.evaluate_many
 even the per-step Python work across a whole epoch -- which is what makes a
 discrete-event serving simulation over thousands of steps tractable.
 
+Every operator comes from one
+:class:`~repro.workload.transformer_layer.LayerTemplate` per (model, TP
+degree, precision), held by the model for its lifetime: the template builds
+the token-count kernels once per token count and each request's attention
+core once per (query, KV) length, in the order the step accumulations sum
+them.
+
 The module also hosts the phase-report builders
 (:meth:`StepCostModel.phase_report`, :meth:`StepCostModel.decode_report_exact`)
 that :meth:`InferencePerformanceModel.predict
@@ -54,9 +61,8 @@ from ..hardware.datatypes import Precision
 from ..models.transformer import TransformerConfig
 from ..perf.kernels import DeviceKernelModel
 from ..perf.roofline import BoundType
-from ..workload.inference import InferencePhaseSpec
 from ..workload.operators import GEMM, Operator
-from ..workload.transformer_layer import LayerExecutionSpec, TransformerLayerBuilder
+from ..workload.transformer_layer import LayerTemplate, layer_template
 from .reports import KernelTimeEntry, PhaseReport, dram_bytes
 
 
@@ -210,11 +216,11 @@ class StepCostModel:
             self.collective_model = shared_collective_model(
                 self.system, CollectiveAlgorithm.DOUBLE_BINARY_TREE
             )
-        # Per-shape operator lists and per-layer collective times recur across
+        # Layer templates (one per model, TP degree and precision; their
+        # operator groups) and per-layer collective times recur across
         # thousands of simulation steps; memoizing them keeps the
         # discrete-event loop allocation-light.
-        self._attention_ops_cache = Memo()
-        self._token_ops_cache = Memo()
+        self._templates = Memo(max_size=64)
         self._comm_time_cache = Memo()
         # Epoch-fused decode pricing state: per-KV-length attention time
         # tables and the batch-constant partial sums of the token ops.  Both
@@ -229,8 +235,8 @@ class StepCostModel:
         # copies the old content and a gather reads one array reference
         # atomically.
         self._table_lock = threading.Lock()
-        # Memo telemetry: every lookup into the caches above counts as a hit
-        # or a miss, so sweeps can verify that a shared instance actually
+        # Memo telemetry: every operator, time and table lookup counts as a
+        # hit or a miss, so sweeps can verify that a shared instance actually
         # reuses its pricing work across scenario evaluations.
         self.cache_hits = 0
         self.cache_misses = 0
@@ -239,31 +245,35 @@ class StepCostModel:
         """Collective scope of a TP group of the given size on this system."""
         return "intra_node" if tensor_parallel <= self.system.devices_per_node else "inter_node"
 
+    def template(self, model: TransformerConfig, tensor_parallel: int, precision: Precision) -> LayerTemplate:
+        """The serving layer template (no SP, no dropout, KV cache) of one model and TP degree."""
+        return layer_template(
+            self._templates,
+            model,
+            tensor_parallel=tensor_parallel,
+            precision=precision,
+            with_dropout=False,
+            use_kv_cache=True,
+        )
+
     # -- phase reports (the InferencePerformanceModel backend) -------------------------
 
     def phase_report(
         self,
         name: str,
-        builder: Optional[TransformerLayerBuilder],
+        ops: Sequence[Operator],
+        comms: Sequence[Operator],
         num_layers: int,
         lm_head: Optional[GEMM],
         repeats: int,
-        tp_scope: str,
-        ops: Optional[Sequence[Operator]] = None,
-        comms: Optional[Sequence[Operator]] = None,
     ) -> PhaseReport:
         """Price one phase: ``repeats`` executions of ``num_layers`` layers.
 
-        ``ops``/``comms`` accept the layer's precomputed operator lists (what
-        ``builder.forward_compute_ops()`` / ``forward_communication(tp_scope)``
-        return) so a planning pass can build the workload graph once and price
-        it later; when given, ``builder`` may be ``None``.  The accumulation
-        below is identical either way.
+        ``ops``/``comms`` are one layer's compute kernels and collectives, as
+        a layer template's ``forward_compute_ops`` / ``forward_communication``
+        return them, so a planning pass can build the workload once and price
+        it later.
         """
-        if ops is None:
-            ops = builder.forward_compute_ops()
-        if comms is None:
-            comms = builder.forward_communication(scope=tp_scope)
         device_time = 0.0
         compute_bound_time = 0.0
         memory_bound_time = 0.0
@@ -326,44 +336,26 @@ class StepCostModel:
         )
         return head_point, head_time, entry
 
-    def decode_exact_prepared(
-        self, spec: InferencePhaseSpec
-    ) -> Tuple[List[TransformerLayerBuilder], List[List[Operator]]]:
-        """Per-step builders and operator lists of the exact decode phase.
-
-        One builder (and its ``forward_compute_ops()`` list) per generated
-        token, at that token's true KV length -- exactly what
-        :meth:`decode_report_exact` constructs internally.  A planning pass
-        builds these once, collects the GEMMs for a cross-scenario batch, and
-        passes the pair back via ``prepared`` so the graph is not rebuilt at
-        pricing time.
-        """
-        steps = max(0, spec.generated_tokens)
-        builders = [
-            TransformerLayerBuilder(spec.decode_layer_spec(spec.prompt_len + step))
-            for step in range(steps)
-        ]
-        return builders, [builder.forward_compute_ops() for builder in builders]
-
     def decode_report_exact(
         self,
-        spec: InferencePhaseSpec,
+        step_ops: Sequence[Sequence[Operator]],
+        comms: Sequence[Operator],
         num_layers: int,
         lm_head: Optional[GEMM],
-        tp_scope: str,
-        prepared: Optional[Tuple[List[TransformerLayerBuilder], List[List[Operator]]]] = None,
     ) -> PhaseReport:
         """Price the decode phase with every token at its true KV length.
 
-        The KV-cache grows from ``prompt_len`` to ``prompt_len + T - 1`` over
-        the ``T`` generated tokens, so the per-token operator lists differ
-        only in the KV-dependent kernels (attention scores/context, softmax).
-        All GEMMs of all steps are evaluated in **one** call through the
-        vectorized roofline backend; the kernel breakdown reports the mean
-        per-invocation time (so ``entry.time * entry.count`` stays the exact
-        phase total) and the bound type of the median-KV step.
+        ``step_ops`` holds one layer's compute kernels per generated token:
+        the KV-cache grows from ``prompt_len`` to ``prompt_len + T - 1`` over
+        the ``T`` tokens, so the per-token lists differ only in the
+        KV-dependent kernels (attention scores/context, softmax).  ``comms``
+        are one step's layer collectives.  All GEMMs of all steps are
+        evaluated in **one** call through the vectorized roofline backend;
+        the kernel breakdown reports the mean per-invocation time (so
+        ``entry.time * entry.count`` stays the exact phase total) and the
+        bound type of the median-KV step.
         """
-        steps = max(0, spec.generated_tokens)
+        steps = len(step_ops)
         if steps == 0:
             return PhaseReport(
                 name="decode",
@@ -373,7 +365,6 @@ class StepCostModel:
                 memory_bound_time=0.0,
                 kernel_breakdown=[],
             )
-        builders, step_ops = prepared if prepared is not None else self.decode_exact_prepared(spec)
         # One batched evaluation warms the kernel memo for every GEMM of every
         # step; the per-slot loop below then only takes cache hits.
         self.kernel_model.gemm_model.evaluate_many(
@@ -406,7 +397,7 @@ class StepCostModel:
                 )
             )
         communication_time = 0.0
-        for comm in builders[0].forward_communication(scope=tp_scope):
+        for comm in comms:
             communication_time += self.collective_model.time(comm) * num_layers
         communication_time *= steps
         if lm_head is not None:
@@ -426,26 +417,13 @@ class StepCostModel:
             kernel_breakdown=entries,
         )
 
-    def lm_head_gemm(self, spec: InferencePhaseSpec) -> Optional[GEMM]:
-        """The logits GEMM of one phase (one query token per request)."""
-        if not spec.include_lm_head:
-            return None
-        return self._lm_head(spec.model, spec.batch_size, spec.tensor_parallel, spec.precision)
-
-    def _lm_head(
-        self, model: TransformerConfig, tokens: int, tensor_parallel: int, precision: Precision
-    ) -> GEMM:
-        vocab_per_rank = max(1, model.vocab_size // tensor_parallel)
-        return GEMM(
-            name="lm_head",
-            precision=precision,
-            m=tokens,
-            n=vocab_per_rank,
-            k=model.hidden_size,
-            weight_operand=True,
-        )
-
     # -- mixed-batch step costs (the serving-simulator backend) ------------------------
+
+    def _count(self, hit: bool) -> None:
+        if hit:
+            self.cache_hits += 1
+        else:
+            self.cache_misses += 1
 
     def _token_ops(
         self, model: TransformerConfig, tokens: int, tensor_parallel: int, precision: Precision
@@ -457,31 +435,9 @@ class StepCostModel:
         MLP), the layer-norms, residuals, and the KV-cache append all see
         ``tokens`` rows regardless of how those rows split across requests.
         """
-        key = (model, tokens, tensor_parallel, precision)
-        ops = self._token_ops_cache.get(key)
-        if ops is not None:
-            self.cache_hits += 1
-            return ops
-        self.cache_misses += 1
-        builder = TransformerLayerBuilder(
-            LayerExecutionSpec(
-                model=model,
-                micro_batch=1,
-                seq_len=tokens,
-                tensor_parallel=tensor_parallel,
-                precision=precision,
-                with_dropout=False,
-                use_kv_cache=True,
-            )
-        )
-        attention = builder.attention_gemms()
-        boundary = builder.block_boundary_ops()
-        kv_append = builder.attention_auxiliary_ops()[-1]  # the MemoryOp, softmax is per-request
-        assembled: List[Operator] = [boundary[0], attention[0], kv_append, attention[3]]
-        assembled.extend(boundary[1:4])
-        assembled.extend(builder.mlp_gemms())
-        assembled.extend(builder.mlp_auxiliary_ops())
-        return self._token_ops_cache.put(key, tuple(assembled))
+        template = self.template(model, tensor_parallel, precision)
+        self._count(template.has_token_ops(tokens))
+        return template.step_token_ops(tokens)
 
     def _attention_ops(
         self,
@@ -492,27 +448,10 @@ class StepCostModel:
         precision: Precision,
     ) -> Tuple[Operator, ...]:
         """Per-request attention kernels: scores and context GEMMs plus softmax."""
-        key = (model, seq_len, kv_len, tensor_parallel, precision)
-        ops = self._attention_ops_cache.get(key)
-        if ops is not None:
-            self.cache_hits += 1
-            return ops
-        self.cache_misses += 1
-        builder = TransformerLayerBuilder(
-            LayerExecutionSpec(
-                model=model,
-                micro_batch=1,
-                seq_len=seq_len,
-                kv_len=max(1, kv_len),
-                tensor_parallel=tensor_parallel,
-                precision=precision,
-                with_dropout=False,
-                use_kv_cache=True,
-            )
-        )
-        gemms = builder.attention_gemms()
-        softmax = builder.attention_auxiliary_ops()[0]
-        return self._attention_ops_cache.put(key, (gemms[1], gemms[2], softmax))
+        template = self.template(model, tensor_parallel, precision)
+        kv_len = max(1, kv_len)
+        self._count(template.has_attention_ops(seq_len, kv_len))
+        return template.step_attention_ops(seq_len, kv_len)
 
     def _layer_comm_time(
         self, model: TransformerConfig, tokens: int, tensor_parallel: int, precision: Precision
@@ -526,19 +465,10 @@ class StepCostModel:
             self.cache_hits += 1
             return cached
         self.cache_misses += 1
-        builder = TransformerLayerBuilder(
-            LayerExecutionSpec(
-                model=model,
-                micro_batch=1,
-                seq_len=tokens,
-                tensor_parallel=tensor_parallel,
-                precision=precision,
-                with_dropout=False,
-                use_kv_cache=True,
-            )
+        comms = self.template(model, tensor_parallel, precision).forward_communication(
+            tokens, self.tp_scope(tensor_parallel)
         )
-        scope = self.tp_scope(tensor_parallel)
-        time = sum(self.collective_model.time(comm) for comm in builder.forward_communication(scope=scope))
+        time = sum(self.collective_model.time(comm) for comm in comms)
         return self._comm_time_cache.put(key, time)
 
     def _price_step(
@@ -553,8 +483,9 @@ class StepCostModel:
     ) -> StepCost:
         """Price ``num_layers x layer_ops`` plus collectives and the lm_head."""
         gemms = [op for op in layer_ops if isinstance(op, GEMM)]
-        lm_head = self._lm_head(model, num_requests, tensor_parallel, precision) if include_lm_head else None
-        if lm_head is not None:
+        lm_head = None
+        if include_lm_head:
+            lm_head = self.template(model, tensor_parallel, precision).lm_head(num_requests)
             gemms.append(lm_head)
         # One batched call warms the kernel memo for every GEMM of the step;
         # the per-op loop below then only takes cache hits.
@@ -736,8 +667,8 @@ class StepCostModel:
         """Price the attention kernels of every KV length in ``missing`` at once.
 
         The scores/context GEMMs of all lengths go through the batched
-        roofline backend in one call and the softmax times are reduced with
-        the memory-bound kernel model's exact arithmetic, so the stored terms
+        roofline backend in one call and the softmaxes through the
+        memory-bound kernel model's vectorized ``evaluate_times``, so the stored terms
         match what the scalar per-step accumulation of :meth:`_price_step`
         adds for each kernel bit for bit (the backend's exact-equality
         contract, enforced by ``tests/perf/test_batched.py``).
@@ -765,17 +696,8 @@ class StepCostModel:
             terms[comp_row, missing] = np.where(compute_bound[offset::2], times[offset::2], 0.0)
             terms[mem_row, missing] = np.where(compute_bound[offset::2], 0.0, times[offset::2])
 
-        # Softmax: the memory-bound kernel model's max(compute, DRAM stream)
-        # with the same operand order as MemoryBoundKernelModel.evaluate.
         memory_model = self.kernel_model.memory_model
-        dram = memory_model.accelerator.memory.dram
-        bandwidth = dram.bandwidth * memory_model.dram_utilization
-        softmax_bytes = np.array([ops[2].bytes_total for ops in ops_by_kv], dtype=np.float64)
-        softmax_flops = np.array([ops[2].flops for ops in ops_by_kv], dtype=np.float64)
-        softmax_times = np.maximum(
-            softmax_flops / memory_model.accelerator.compute.vector_throughput,
-            softmax_bytes / bandwidth,
-        )
+        softmax_times = memory_model.evaluate_times([softmax for _, _, softmax in ops_by_kv])
         terms[table.DEV_SOFTMAX, missing] = softmax_times + memory_model.kernel_overhead
         table.filled[missing] = True
 
@@ -826,7 +748,7 @@ class StepCostModel:
             self.cache_hits += 1
             return terms
         self.cache_misses += 1
-        lm_head = self._lm_head(model, tokens, tensor_parallel, precision)
+        lm_head = self.template(model, tensor_parallel, precision).lm_head(tokens)
         point = self.kernel_model.evaluate(lm_head)
         head_time = point.time
         terms = (

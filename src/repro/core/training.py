@@ -10,8 +10,9 @@ The model composes the pieces built elsewhere in the package:
 4. the pipeline schedule adds its bubble and the optimizer adds the weight
    update, and the activation-recomputation strategy adds its forward replay.
 
-:meth:`~TrainingPerformanceModel.plan` does the mapping and builds every
-operator to price (one memoized graph per layer shape and TP scope);
+:meth:`~TrainingPerformanceModel.plan` does the mapping and takes every
+operator to price from the model's layer templates (one per model, TP, SP
+and precision, each building a layer shape's operators once);
 :meth:`~TrainingPerformanceModel.finish` prices it.  The sweep batch planner
 prices a whole generation of plans' queries in one batch between the two.
 
@@ -23,7 +24,7 @@ GPU-generation scaling study (Fig. 5) and the validation table (Table 1).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..caching import Memo
 from ..comm.fabric import CollectiveModel, shared_collective_model
@@ -35,10 +36,7 @@ from ..models.transformer import TransformerConfig
 from ..parallelism.config import ParallelismConfig
 from ..parallelism.mapper import DistributedTrainingPlan, ParallelizationMapper
 from ..perf.kernels import DeviceKernelModel
-from ..perf.roofline import BoundType
 from ..workload.operators import CollectiveKind, CommunicationOp, GEMM, Operator
-from ..workload.training import TrainingMicrobatchSpec
-from ..workload.transformer_layer import LayerExecutionSpec, TransformerLayerBuilder
 from .reports import KernelTimeEntry, TrainingReport, dram_bytes
 
 #: Bytes the optimizer touches per parameter during the update step:
@@ -51,8 +49,8 @@ OPTIMIZER_BYTES_PER_PARAMETER = 28.0
 class TrainingPlan:
     """Everything :meth:`TrainingPerformanceModel.finish` prices for one step.
 
-    The operator tuples come from the model's layer memo and are shared by
-    every plan of the same layer shape and TP scope.
+    The operator tuples come from the model's layer templates and are shared
+    by every plan of the same layer shape and TP scope.
 
     Attributes:
         mapping: The distributed execution plan of the step.
@@ -119,31 +117,12 @@ class TrainingPerformanceModel:
         if self.collective_model is None:
             self.collective_model = shared_collective_model(self.system)
         self._mapper = ParallelizationMapper(self.system)
-        self._layer_memo = Memo(max_size=256)  # a sweep generation needs one per layer shape
+        # One layer template per (model, TP, SP, precision): steps that differ
+        # only in PP, DP or recompute share its operators (and their cached
+        # hashes).
+        self._templates = Memo(max_size=256)
 
     # -- helpers -----------------------------------------------------------------
-
-    def _layer_ops(self, spec: LayerExecutionSpec, tp_scope: str) -> Tuple[Tuple[Operator, ...], ...]:
-        """One layer's ``(forward_ops, backward_ops, tp_comms)``.
-
-        Memoized per ``(spec, tp_scope)``, so steps that differ only in PP, DP
-        or recompute share one layer graph (and its operators' cached hashes).
-        Threads that miss together each build an equal graph; no lock needed.
-        """
-        key = (spec, tp_scope)
-        layer = self._layer_memo.get(key)
-        if layer is None:
-            builder = TransformerLayerBuilder(spec)
-            layer = self._layer_memo.put(
-                key,
-                (
-                    tuple(builder.forward_compute_ops()),
-                    tuple(builder.backward_compute_ops()),
-                    tuple(builder.forward_communication(scope=tp_scope))
-                    + tuple(builder.backward_communication(scope=tp_scope)),
-                ),
-            )
-        return layer
 
     def _layer_time(self, ops: Sequence[Operator], count: int, entries: List[KernelTimeEntry]) -> float:
         """Sum one layer's kernel times, appending each kernel's breakdown entry."""
@@ -232,7 +211,8 @@ class TrainingPerformanceModel:
         )
         layers_per_stage = parallelism.layers_per_stage(model)
         spec = mapping.microbatch_spec
-        forward_ops, backward_ops, tp_comms = self._layer_ops(spec.layer_spec(), mapping.tp_scope)
+        layer = spec.layer_spec()
+        template = layer.template(self._templates)
         pp_op = dp_op = None
         if parallelism.pipeline_parallel > 1:
             pp_op = CommunicationOp(
@@ -255,10 +235,10 @@ class TrainingPerformanceModel:
             mapping=mapping,
             recompute=recompute,
             layers_per_stage=layers_per_stage,
-            forward_ops=forward_ops,
-            backward_ops=backward_ops,
-            tp_comms=tp_comms,
-            lm_head=spec.lm_head_gemm() if spec.include_embedding else None,
+            forward_ops=template.forward_compute_ops(*layer.shape),
+            backward_ops=template.backward_compute_ops(*layer.shape),
+            tp_comms=template.communication(layer.tokens, mapping.tp_scope),
+            lm_head=template.lm_head(layer.tokens) if spec.include_embedding else None,
             pp_op=pp_op,
             dp_op=dp_op,
         )
@@ -340,36 +320,3 @@ class TrainingPerformanceModel:
             memory=memory,
             kernel_breakdown=kernel_entries,
         )
-
-    # -- auxiliary analyses ------------------------------------------------------------
-
-    def gemm_bound_breakdown(
-        self,
-        model: TransformerConfig,
-        parallelism: ParallelismConfig,
-        seq_len: Optional[int] = None,
-        precision: Precision = Precision.FP16,
-    ) -> Dict[str, float]:
-        """Split one layer's forward GEMM time into compute- vs memory-bound parts.
-
-        This powers the technology-node bound-breakdown study (paper Fig. 7).
-        """
-        spec = TrainingMicrobatchSpec(
-            model=model,
-            micro_batch=parallelism.micro_batch_size,
-            seq_len=model.max_seq_len if seq_len is None else seq_len,
-            layers_per_stage=1,
-            tensor_parallel=parallelism.tensor_parallel,
-            sequence_parallel=parallelism.sequence_parallel,
-            precision=precision,
-        )
-        builder = TransformerLayerBuilder(spec.layer_spec())
-        compute_bound = 0.0
-        memory_bound = 0.0
-        for gemm in builder.forward_gemms():
-            point = self.kernel_model.gemm_model.evaluate(gemm)
-            if point.bound is BoundType.COMPUTE:
-                compute_bound += point.time
-            else:
-                memory_bound += point.time
-        return {"compute_bound": compute_bound, "memory_bound": memory_bound}

@@ -7,7 +7,7 @@ block per pass.  This module captures the *bookkeeping* side of that scheme:
 how many parameters end up on each tensor-parallel rank and how many bytes
 each rank contributes to the tensor-parallel collectives.  The kernel-level
 effect on GEMM shapes is handled by
-:class:`~repro.workload.transformer_layer.TransformerLayerBuilder`.
+:class:`~repro.workload.transformer_layer.LayerTemplate`.
 """
 
 from __future__ import annotations

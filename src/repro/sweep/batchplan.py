@@ -34,6 +34,13 @@ every TP/PP/DP collective of a generation of
 :meth:`CollectiveModel.evaluate_batch` per collective model, and seeds the
 shared memos ``finish`` then reads.
 
+The bottleneck-table kinds (prefill/decode GEMM tables, the training-layer
+bound split) take their GEMMs from the
+:class:`~repro.workload.transformer_layer.LayerTemplate` objects in this
+module's memo, one per layer configuration: plans that differ only in the KV
+length share the token GEMMs and build just the attention scores/context
+pair.  :func:`clear_plan_caches` empties the memo.
+
 Scenario kinds without a batchable pricing phase (serving, the memory
 breakdowns, the GEMV validation) are left to the normal
 :func:`evaluate_scenario` path; :func:`evaluate_pending_batched` interleaves
@@ -56,8 +63,6 @@ from ..comm.fabric import CollectiveBatch, CollectiveModel
 from ..core.bottleneck import attention_layer_bound_breakdown, attention_layer_gemms, layer_gemms
 from ..core.reports import GemmBottleneckEntry
 from ..errors import ReproError
-from ..hardware.datatypes import Precision
-from ..models.transformer import TransformerConfig
 from ..perf.batched import BOUND_CACHE, BOUND_COMPUTE, BOUND_MEMORY, BatchedRooflineResult, GemmBatch
 from ..perf.gemm import GemmTimeModel
 from ..perf.roofline import BoundType
@@ -153,99 +158,13 @@ class ScenarioPlan:
         return self.assemble()
 
 
-# ---------------------------------------------------------------------------
-# Decode GEMM templates: the per-KV-length decode layer without a rebuild.
-# ---------------------------------------------------------------------------
-
-#: Template miss marker (a ``Memo`` cannot store ``None`` distinguishably).
-_NO_TEMPLATE = object()
-#: ``(model, batch, tp, precision) -> (base_gemms, varying) | _NO_TEMPLATE``.
-_DECODE_TEMPLATE_MEMO = Memo(max_size=1024)
-#: GEMM fields allowed to vary with the KV length.
-_KV_FIELDS = ("m", "n", "k", "batch")
-
-
-def _build_decode_template(
-    model: TransformerConfig, batch_size: int, tensor_parallel: int, precision: Precision
-):
-    """Derive how one decode layer's GEMM shapes depend on the KV length.
-
-    Builds the layer at two probe KV lengths (2 and 3) and diffs the GEMM
-    lists: a valid template has every differing dimension equal to the KV
-    length itself (the attention score/context kernels), everything else
-    static.  The template is then validated against a genuinely rebuilt
-    layer at a third KV length, so any model whose shapes depend on the KV
-    length non-identically (rounding, grouping) safely falls back to
-    per-KV rebuilds instead of producing wrong shapes.
-    """
-    base = layer_gemms(model, batch_size, 1, 2, tensor_parallel, precision, True)
-    probe = layer_gemms(model, batch_size, 1, 3, tensor_parallel, precision, True)
-    if len(base) != len(probe):
-        return _NO_TEMPLATE
-    varying: List[Tuple[int, str]] = []
-    for index, (low, high) in enumerate(zip(base, probe)):
-        diffs = [
-            field.name
-            for field in dataclasses.fields(GEMM)
-            if getattr(low, field.name) != getattr(high, field.name)
-        ]
-        if not diffs:
-            continue
-        if any(name not in _KV_FIELDS for name in diffs):
-            return _NO_TEMPLATE
-        for name in diffs:
-            if getattr(low, name) != 2 or getattr(high, name) != 3:
-                return _NO_TEMPLATE
-            varying.append((index, name))
-    template = (tuple(base), tuple(varying))
-    check_kv = 5
-    if _instantiate_decode_template(template, check_kv) != layer_gemms(
-        model, batch_size, 1, check_kv, tensor_parallel, precision, True
-    ):
-        return _NO_TEMPLATE
-    return template
-
-
-def _instantiate_decode_template(template, kv_len: int) -> List[GEMM]:
-    base, varying = template
-    gemms = list(base)
-    updates: Dict[int, Dict[str, int]] = {}
-    for index, name in varying:
-        updates.setdefault(index, {})[name] = kv_len
-    for index, fields in updates.items():
-        gemms[index] = dataclasses.replace(gemms[index], **fields)
-    return gemms
-
-
-def decode_layer_gemms(
-    model: TransformerConfig,
-    batch_size: int,
-    kv_len: int,
-    tensor_parallel: int,
-    precision: Precision,
-) -> List[GEMM]:
-    """The decode-step GEMMs at ``kv_len``, via the cached shape template.
-
-    Equal (``==``) to ``layer_gemms(model, batch_size, 1, kv_len, ...,
-    use_kv_cache=True)`` -- a KV sweep rebuilds the layer graph once instead
-    of once per KV length.  Falls back to the rebuild when the template
-    cannot be validated (see :func:`_build_decode_template`) or the KV
-    length is out of the template's range.
-    """
-    if kv_len >= 1:
-        key = (model, batch_size, tensor_parallel, precision)
-        template = _DECODE_TEMPLATE_MEMO.get(key)
-        if template is None:
-            template = _build_decode_template(model, batch_size, tensor_parallel, precision)
-            _DECODE_TEMPLATE_MEMO.put(key, template)
-        if template is not _NO_TEMPLATE:
-            return _instantiate_decode_template(template, kv_len)
-    return layer_gemms(model, batch_size, 1, kv_len, tensor_parallel, precision, True)
+#: Layer templates of the bottleneck kinds, one per layer configuration.
+_TEMPLATES = Memo(max_size=1024)
 
 
 def clear_plan_caches() -> None:
-    """Drop the planner's shape-template cache (cold-benchmark support)."""
-    _DECODE_TEMPLATE_MEMO.clear()
+    """Drop the planner's layer templates (cold-benchmark support)."""
+    _TEMPLATES.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +191,20 @@ def plan_scenario(scenario: Scenario) -> Optional[ScenarioPlan]:
             tensor_parallel=scenario.tensor_parallel,
             precision=scenario.precision,
             use_kv_cache=False,
+            templates=_TEMPLATES,
         )
         return _columnar_plan(scenario, engine.kernel_model.gemm_model, gemms)
     if kind is ScenarioKind.DECODE_BOTTLENECKS:
         engine = engine_for(scenario.system)
-        gemms = decode_layer_gemms(
+        gemms = layer_gemms(
             scenario.model,
             batch_size=scenario.batch_size,
+            seq_len=1,
             kv_len=scenario.kv_len if scenario.kv_len is not None else _DEFAULT_DECODE_KV_LEN,
             tensor_parallel=scenario.tensor_parallel,
             precision=scenario.precision,
+            use_kv_cache=True,
+            templates=_TEMPLATES,
         )
         return _columnar_plan(scenario, engine.kernel_model.gemm_model, gemms)
     if kind is ScenarioKind.ATTENTION_BOUND:
@@ -292,6 +215,7 @@ def plan_scenario(scenario: Scenario) -> Optional[ScenarioPlan]:
             seq_len=scenario.seq_len,
             tensor_parallel=scenario.tensor_parallel,
             precision=scenario.precision,
+            templates=_TEMPLATES,
         )
 
         def assemble_attention(scenario: Scenario = scenario, engine=engine) -> object:

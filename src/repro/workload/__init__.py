@@ -19,7 +19,7 @@ from .training import (
     build_forward_graph,
     build_training_microbatch_graph,
 )
-from .transformer_layer import LayerExecutionSpec, TransformerLayerBuilder, build_layer_spec
+from .transformer_layer import LayerExecutionSpec, LayerTemplate
 
 __all__ = [
     "CollectiveKind",
@@ -28,6 +28,7 @@ __all__ = [
     "GEMM",
     "InferencePhaseSpec",
     "LayerExecutionSpec",
+    "LayerTemplate",
     "MemoryOp",
     "NormalizationOp",
     "Operator",
@@ -35,11 +36,9 @@ __all__ = [
     "TaskGraph",
     "TaskNode",
     "TrainingMicrobatchSpec",
-    "TransformerLayerBuilder",
     "build_backward_graph",
     "build_decode_step_graph",
     "build_forward_graph",
-    "build_layer_spec",
     "build_prefill_graph",
     "build_training_microbatch_graph",
     "make_gemv",

@@ -21,8 +21,8 @@ from ..errors import ConfigurationError
 from ..hardware.datatypes import Precision
 from ..models.transformer import TransformerConfig
 from .graph import TaskGraph
-from .operators import GEMM, Operator
-from .transformer_layer import LayerExecutionSpec, TransformerLayerBuilder
+from .operators import Operator
+from .transformer_layer import LayerExecutionSpec
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,19 +89,6 @@ class InferencePhaseSpec:
         return self.prompt_len + max(0, self.generated_tokens - 1) // 2
 
 
-def _lm_head_gemm(spec: InferencePhaseSpec, tokens: int) -> GEMM:
-    """The logits GEMM over ``tokens`` query tokens, sharded over the TP group."""
-    vocab_per_rank = max(1, spec.model.vocab_size // spec.tensor_parallel)
-    return GEMM(
-        name="lm_head",
-        precision=spec.precision,
-        m=tokens,
-        n=vocab_per_rank,
-        k=spec.model.hidden_size,
-        weight_operand=True,
-    )
-
-
 def build_prefill_graph(
     spec: InferencePhaseSpec,
     layers: Optional[int] = None,
@@ -110,17 +97,18 @@ def build_prefill_graph(
     """Task graph of the prefill phase over ``layers`` transformer layers."""
     num_layers = spec.model.num_layers if layers is None else layers
     graph = TaskGraph(name=f"{spec.model.name}-prefill")
-    builder = TransformerLayerBuilder(spec.prefill_layer_spec())
+    layer = spec.prefill_layer_spec()
+    template = layer.template()
     last = None
     for layer_index in range(num_layers):
         tags = [f"layer{layer_index}", "prefill"]
-        ops: list[Operator] = list(builder.forward_compute_ops())
-        ops.extend(builder.forward_communication(scope=tp_scope))
+        ops: list[Operator] = list(template.forward_compute_ops(*layer.shape))
+        ops.extend(template.forward_communication(layer.tokens, scope=tp_scope))
         for op in ops:
             last = graph.add(op, deps=[last] if last is not None else [], tags=tags)
     if spec.include_lm_head:
         # Only the last token's logits are needed to start generation.
-        head = _lm_head_gemm(spec, tokens=spec.batch_size)
+        head = template.lm_head(spec.batch_size)
         graph.add(head, deps=[last] if last is not None else [], tags=["lm_head", "prefill"])
     return graph
 
@@ -143,15 +131,16 @@ def build_decode_step_graph(
     num_layers = spec.model.num_layers if layers is None else layers
     cache_len = spec.average_decode_kv_len if kv_len is None else kv_len
     graph = TaskGraph(name=f"{spec.model.name}-decode")
-    builder = TransformerLayerBuilder(spec.decode_layer_spec(cache_len))
+    layer = spec.decode_layer_spec(cache_len)
+    template = layer.template()
     last = None
     for layer_index in range(num_layers):
         tags = [f"layer{layer_index}", "decode"]
-        ops: list[Operator] = list(builder.forward_compute_ops())
-        ops.extend(builder.forward_communication(scope=tp_scope))
+        ops: list[Operator] = list(template.forward_compute_ops(*layer.shape))
+        ops.extend(template.forward_communication(layer.tokens, scope=tp_scope))
         for op in ops:
             last = graph.add(op, deps=[last] if last is not None else [], tags=tags)
     if spec.include_lm_head:
-        head = _lm_head_gemm(spec, tokens=spec.batch_size)
+        head = template.lm_head(spec.batch_size)
         graph.add(head, deps=[last] if last is not None else [], tags=["lm_head", "decode"])
     return graph

@@ -16,8 +16,8 @@ from ..errors import ConfigurationError
 from ..hardware.datatypes import Precision
 from ..models.transformer import TransformerConfig
 from .graph import TaskGraph
-from .operators import GEMM, Operator
-from .transformer_layer import LayerExecutionSpec, TransformerLayerBuilder
+from .operators import Operator
+from .transformer_layer import LayerExecutionSpec, backward_gemms
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,63 +62,38 @@ class TrainingMicrobatchSpec:
             with_dropout=True,
         )
 
-    def lm_head_gemm(self) -> GEMM:
-        """The logits GEMM of the last pipeline stage, sharded over the TP group."""
-        return GEMM(
-            name="lm_head",
-            precision=self.precision,
-            m=self.micro_batch * self.seq_len,
-            n=max(1, self.model.vocab_size // self.tensor_parallel),
-            k=self.model.hidden_size,
-            weight_operand=True,
-        )
-
 
 def build_forward_graph(spec: TrainingMicrobatchSpec, tp_scope: str = "intra_node") -> TaskGraph:
     """Forward-pass task graph of one micro-batch on one pipeline stage."""
     graph = TaskGraph(name=f"{spec.model.name}-forward")
-    builder = TransformerLayerBuilder(spec.layer_spec())
+    layer = spec.layer_spec()
+    template = layer.template()
     last: Optional[int] = None
     for layer_index in range(spec.layers_per_stage):
         tags = [f"layer{layer_index}", "forward"]
-        ops: List[Operator] = list(builder.forward_compute_ops())
-        ops.extend(builder.forward_communication(scope=tp_scope))
+        ops: List[Operator] = list(template.forward_compute_ops(*layer.shape))
+        ops.extend(template.forward_communication(layer.tokens, scope=tp_scope))
         for op in ops:
             last = graph.add(op, deps=[last] if last is not None else [], tags=tags)
     if spec.include_embedding:
-        last = graph.add(spec.lm_head_gemm(), deps=[last] if last is not None else [], tags=["lm_head", "forward"])
+        head = template.lm_head(layer.tokens)
+        last = graph.add(head, deps=[last] if last is not None else [], tags=["lm_head", "forward"])
     return graph
 
 
 def build_backward_graph(spec: TrainingMicrobatchSpec, tp_scope: str = "intra_node") -> TaskGraph:
     """Backward-pass task graph of one micro-batch on one pipeline stage."""
     graph = TaskGraph(name=f"{spec.model.name}-backward")
-    builder = TransformerLayerBuilder(spec.layer_spec())
+    layer = spec.layer_spec()
+    template = layer.template()
     last: Optional[int] = None
     if spec.include_embedding:
-        head = spec.lm_head_gemm()
-        dgrad = GEMM(
-            name="lm_head_dgrad",
-            precision=head.precision,
-            m=head.m,
-            n=head.k,
-            k=head.n,
-            weight_operand=True,
-        )
-        wgrad = GEMM(
-            name="lm_head_wgrad",
-            precision=head.precision,
-            m=head.k,
-            n=head.n,
-            k=head.m,
-            accumulate=True,
-        )
-        for op in (dgrad, wgrad):
+        for op in backward_gemms(template.lm_head(layer.tokens)):
             last = graph.add(op, deps=[last] if last is not None else [], tags=["lm_head", "backward"])
     for layer_index in range(spec.layers_per_stage):
         tags = [f"layer{layer_index}", "backward"]
-        ops: List[Operator] = list(builder.backward_compute_ops())
-        ops.extend(builder.backward_communication(scope=tp_scope))
+        ops: List[Operator] = list(template.backward_compute_ops(*layer.shape))
+        ops.extend(template.backward_communication(layer.tokens, scope=tp_scope))
         for op in ops:
             last = graph.add(op, deps=[last] if last is not None else [], tags=tags)
     return graph

@@ -89,3 +89,11 @@ def test_attention_layer_bound_breakdown_shifts_with_technology(gpt_175b):
     new_memory_fraction = new["memory_bound"] / new["total"]
     assert new_memory_fraction > old_memory_fraction
     assert new["total"] < old["total"]
+
+
+def test_attention_layer_bound_breakdown_gpt175b_tp8_mostly_compute_bound(a100, gpt_175b):
+    breakdown = attention_layer_bound_breakdown(gpt_175b, a100, micro_batch=1, seq_len=2048, tensor_parallel=8)
+    assert breakdown["compute_bound"] > 0
+    assert breakdown["memory_bound"] >= 0
+    # Training GEMMs on the A100 are predominantly compute bound.
+    assert breakdown["compute_bound"] > breakdown["memory_bound"]

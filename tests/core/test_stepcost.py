@@ -203,3 +203,14 @@ def test_step_cost_cache_counters_grow(system, model):
     probe.decode_run(model, [100, 200], 8)
     assert probe.cache_misses == first_misses  # identical epoch: all hits
     assert probe.cache_hits > 0
+
+
+def test_templates_live_with_their_step_cost_model(system, model):
+    fresh = StepCostModel(system=system)
+    assert len(fresh._templates) == 0
+    fresh.prefill_step(model, [64, 32])
+    template = fresh.template(model, 1, Precision.FP16)
+    assert len(fresh._templates) == 1
+    # Steps of one model share the template and its operator groups.
+    assert fresh._token_ops(model, 96, 1, Precision.FP16) is template.step_token_ops(96)
+    assert len(StepCostModel(system=system)._templates) == 0

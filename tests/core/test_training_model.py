@@ -127,14 +127,6 @@ def test_nvs_cluster_reduces_communication(gpt_175b):
     assert nvs_report.dp_communication_time < hdr_report.dp_communication_time
 
 
-def test_gemm_bound_breakdown(gpt_175b, model_64):
-    breakdown = model_64.gemm_bound_breakdown(gpt_175b, ParallelismConfig(tensor_parallel=8))
-    assert breakdown["compute_bound"] > 0
-    assert breakdown["memory_bound"] >= 0
-    # Training GEMMs on the A100 are predominantly compute bound.
-    assert breakdown["compute_bound"] > breakdown["memory_bound"]
-
-
 def test_breakdown_dict_and_throughput(gpt_175b, model_64, config_88):
     report = model_64.predict(gpt_175b, config_88, global_batch_size=64)
     breakdown = report.breakdown()

@@ -59,6 +59,23 @@ def test_memory_model_validation(a100):
         MemoryBoundKernelModel(accelerator=a100, kernel_overhead=-1)
 
 
+def test_vectorized_times_equal_evaluate_bit_for_bit(memory_model):
+    ops = [
+        NormalizationOp(name="softmax", num_elements=10_000_000, flops_per_element=5.0),
+        NormalizationOp(name="tiny_softmax", num_elements=3, flops_per_element=5.0, precision=Precision.FP8),
+        ElementwiseOp(name="gelu", num_elements=123_457, flops_per_element=8.0),
+        ElementwiseOp(name="dropout", num_elements=99_991, flops_per_element=2.0, extra_bytes_per_element=1.0),
+        MemoryOp(name="kv_read", bytes_moved=7e6),  # zero flops
+        MemoryOp(name="kv_append", bytes_moved=3.5e3, is_write=True),  # zero flops
+        ElementwiseOp(name="compute_only", num_elements=1000, reads_per_element=0.0, writes_per_element=0.0),
+        ElementwiseOp(name="empty", num_elements=0),  # zero flops and zero bytes
+    ]
+    assert ops[-2].bytes_total == 0 and ops[-1].flops == 0 and ops[-1].bytes_total == 0
+    times = memory_model.evaluate_times(ops)
+    assert times.tolist() == [memory_model.evaluate(op).time for op in ops]
+    assert memory_model.evaluate_times([]).shape == (0,)
+
+
 def test_device_model_dispatches_gemm_and_others(device_model):
     gemm = GEMM(name="g", m=2048, n=2048, k=2048, precision=Precision.FP16)
     softmax = NormalizationOp(name="softmax", num_elements=1_000_000)

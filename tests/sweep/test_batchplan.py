@@ -9,16 +9,11 @@ generation of scenarios through one vectorized roofline call.
 
 import pytest
 
+from repro.core.bottleneck import layer_gemms
 from repro.errors import MemoryCapacityError, ReproError
 from repro.hardware.datatypes import Precision
 from repro.sweep import Scenario, SweepRunner, evaluate_scenario, expand_grid
-from repro.sweep.batchplan import (
-    clear_plan_caches,
-    decode_layer_gemms,
-    evaluate_pending_batched,
-    plan_scenario,
-)
-from repro.core.bottleneck import layer_gemms
+from repro.sweep.batchplan import clear_plan_caches, evaluate_pending_batched, plan_scenario
 
 
 def _run_both(scenarios, capture_errors=False):
@@ -177,15 +172,39 @@ def test_batch_planning_off_never_batches(tiny_model):
 
 
 # ---------------------------------------------------------------------------
-# Decode shape templates.
+# Layer templates of the bottleneck kinds.
 # ---------------------------------------------------------------------------
 
+_KV_DEPENDENT = ("attention_scores", "attention_context")
 
-@pytest.mark.parametrize("kv_len", [1, 2, 7, 64, 200, 513])
-def test_decode_template_matches_full_layer_rebuild(kv_len, tiny_model, tiny_swiglu_model):
+
+def test_decode_plans_share_token_gemms_across_kv_lengths(tiny_model, tiny_swiglu_model):
     clear_plan_caches()
     for model in (tiny_model, tiny_swiglu_model):  # MHA/GELU and GQA/SwiGLU
-        for batch_size, tensor_parallel in ((1, 1), (2, 2)):
-            templated = decode_layer_gemms(model, batch_size, kv_len, tensor_parallel, Precision.FP16)
-            rebuilt = layer_gemms(model, batch_size, 1, kv_len, tensor_parallel, Precision.FP16, True)
-            assert templated == rebuilt
+        kv_lens = (1, 2, 7, 64, 200, 513)
+        plans = [
+            plan_scenario(Scenario.decode_bottlenecks("A100", model, batch_size=2, kv_len=kv, tensor_parallel=2))
+            for kv in kv_lens
+        ]
+        first = plans[0]
+        for plan, kv_len in zip(plans, kv_lens):
+            assert plan.gemms == layer_gemms(model, 2, 1, kv_len, 2, Precision.FP16, True)
+            for gemm, first_gemm in zip(plan.gemms, first.gemms):
+                if gemm.name in _KV_DEPENDENT:
+                    assert (gemm is first_gemm) == (kv_len == kv_lens[0])
+                else:
+                    assert gemm is first_gemm
+        # Only the scores and context GEMMs are built per KV length.
+        built = {id(gemm) for plan in plans for gemm in plan.gemms}
+        assert len(built) == len(first.gemms) + len(_KV_DEPENDENT) * (len(kv_lens) - 1)
+
+
+def test_clear_plan_caches_drops_the_planner_templates(tiny_model):
+    scenario = Scenario.prefill_bottlenecks("A100", tiny_model, prompt_tokens=64)
+    clear_plan_caches()
+    first = plan_scenario(scenario)
+    assert all(a is b for a, b in zip(plan_scenario(scenario).gemms, first.gemms))
+    clear_plan_caches()
+    cold = plan_scenario(scenario)
+    assert cold.gemms == first.gemms
+    assert not any(a is b for a, b in zip(cold.gemms, first.gemms))

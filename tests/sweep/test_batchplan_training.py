@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hardware.cluster import build_system
 from repro.hardware.datatypes import Precision
 from repro.sweep import (
     BatchTimings,
@@ -98,6 +99,23 @@ def test_training_plans_share_layer_graphs_until_cold_reset(tiny_model):
     cold = plan(scenarios[0])
     assert cold.forward_ops is not first.forward_ops
     assert cold.forward_ops == first.forward_ops
+
+
+def test_engine_templates_are_dropped_with_the_engines(tiny_model):
+    def plan():
+        engine = engine_for(build_system("A100", num_devices=8))
+        return engine.inference_model.plan(tiny_model, batch_size=2, prompt_tokens=32, tensor_parallel=2)
+
+    clear_engine_cache()
+    first = plan()
+    again = plan()
+    assert again.prefill_ops is first.prefill_ops
+    assert again.decode_ops is first.decode_ops
+    assert again.lm_head is first.lm_head
+    clear_engine_cache()
+    cold = plan()
+    assert cold.prefill_ops is not first.prefill_ops
+    assert cold.prefill_ops == first.prefill_ops
 
 
 # ---------------------------------------------------------------------------

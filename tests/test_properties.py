@@ -16,7 +16,7 @@ from repro.perf.gemm import GemmTimeModel
 from repro.perf.roofline import BoundType, classify, roofline_time
 from repro.perf.tiling import compulsory_traffic, traffic_through_level
 from repro.workload.operators import GEMM
-from repro.workload.transformer_layer import LayerExecutionSpec, TransformerLayerBuilder
+from repro.workload.transformer_layer import LayerTemplate
 
 A100 = get_accelerator("A100")
 GEMM_MODEL = GemmTimeModel(accelerator=A100)
@@ -202,14 +202,8 @@ def test_kv_cache_linear_in_batch_and_context(batch, context, tp):
 )
 def test_layer_flops_shrink_with_tensor_parallelism(seq, micro_batch, tp):
     model = _small_model(1, layers=2, heads=8)
-    full = TransformerLayerBuilder(
-        LayerExecutionSpec(model=model, micro_batch=micro_batch, seq_len=seq, tensor_parallel=1)
-    )
-    shard = TransformerLayerBuilder(
-        LayerExecutionSpec(model=model, micro_batch=micro_batch, seq_len=seq, tensor_parallel=tp)
-    )
-    full_flops = sum(g.flops for g in full.forward_gemms())
-    shard_flops = sum(g.flops for g in shard.forward_gemms())
+    full_flops = sum(g.flops for g in LayerTemplate(model, tensor_parallel=1).forward_gemms(micro_batch, seq))
+    shard_flops = sum(g.flops for g in LayerTemplate(model, tensor_parallel=tp).forward_gemms(micro_batch, seq))
     assert shard_flops == pytest.approx(full_flops / tp, rel=1e-9)
 
 
@@ -218,10 +212,7 @@ def test_layer_flops_shrink_with_tensor_parallelism(seq, micro_batch, tp):
 def test_tp_collective_volume_independent_of_tp_degree(seq, tp):
     """The Megatron all-reduce payload is the full hidden state regardless of the TP degree."""
     model = _small_model(1, layers=2, heads=8)
-    builder = TransformerLayerBuilder(
-        LayerExecutionSpec(model=model, micro_batch=1, seq_len=seq, tensor_parallel=tp)
-    )
-    payloads = [op.data_bytes for op in builder.forward_communication()]
+    payloads = [op.data_bytes for op in LayerTemplate(model, tensor_parallel=tp).forward_communication(seq)]
     expected = seq * model.hidden_size * Precision.FP16.bytes_per_element
     assert payloads
     for payload in payloads:
@@ -232,12 +223,7 @@ def test_tp_collective_volume_independent_of_tp_degree(seq, tp):
 @given(kv_len=st.integers(min_value=1, max_value=4096))
 def test_decode_gemm_time_monotonic_in_kv_length(kv_len):
     model = _small_model(1, layers=2, heads=8)
-    short_spec = LayerExecutionSpec(
-        model=model, micro_batch=1, seq_len=1, kv_len=kv_len, with_dropout=False, use_kv_cache=True
-    )
-    long_spec = LayerExecutionSpec(
-        model=model, micro_batch=1, seq_len=1, kv_len=2 * kv_len, with_dropout=False, use_kv_cache=True
-    )
-    short_time = sum(GEMM_MODEL.time(g) for g in TransformerLayerBuilder(short_spec).forward_gemms())
-    long_time = sum(GEMM_MODEL.time(g) for g in TransformerLayerBuilder(long_spec).forward_gemms())
+    template = LayerTemplate(model, with_dropout=False, use_kv_cache=True)
+    short_time = sum(GEMM_MODEL.time(g) for g in template.forward_gemms(1, 1, kv_len))
+    long_time = sum(GEMM_MODEL.time(g) for g in template.forward_gemms(1, 1, 2 * kv_len))
     assert long_time >= short_time - 1e-12

@@ -1,36 +1,46 @@
-"""Tests for the per-layer operator builders (Megatron TP sharding)."""
+"""Tests for the per-layer operator templates (Megatron TP sharding)."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.hardware.datatypes import Precision
 from repro.workload.operators import CollectiveKind, GEMM
-from repro.workload.transformer_layer import LayerExecutionSpec, TransformerLayerBuilder
+from repro.workload.transformer_layer import LayerExecutionSpec, LayerTemplate
 
 
-def _spec(model, tp=1, sp=False, micro_batch=2, seq=128, **kwargs):
-    return LayerExecutionSpec(
-        model=model,
-        micro_batch=micro_batch,
-        seq_len=seq,
-        tensor_parallel=tp,
-        sequence_parallel=sp,
-        **kwargs,
-    )
+def _template(model, tp=1, sp=False, **kwargs):
+    return LayerTemplate(model, tensor_parallel=tp, sequence_parallel=sp, **kwargs)
+
+
+def _by_name(ops):
+    return {op.name: op for op in ops}
 
 
 def test_spec_validation(tiny_model):
-    with pytest.raises(ConfigurationError):
-        _spec(tiny_model, micro_batch=0)
-    with pytest.raises(ConfigurationError):
-        _spec(tiny_model, tp=3)  # does not divide 8 heads
-    spec = _spec(tiny_model)
+    with pytest.raises(ConfigurationError, match="micro_batch and seq_len must be positive"):
+        LayerExecutionSpec(model=tiny_model, micro_batch=0, seq_len=128)
+    with pytest.raises(ConfigurationError, match="must divide the number of attention heads"):
+        LayerExecutionSpec(model=tiny_model, micro_batch=2, seq_len=128, tensor_parallel=3)
+    spec = LayerExecutionSpec(model=tiny_model, micro_batch=2, seq_len=128)
     assert spec.kv_len == spec.seq_len
+    assert spec.shape == (2, 128, 128)
+
+
+def test_template_validation(tiny_model):
+    with pytest.raises(ConfigurationError, match="tensor_parallel must be >= 1"):
+        _template(tiny_model, tp=0)
+    with pytest.raises(ConfigurationError, match="tensor parallel degree 3 must divide"):
+        _template(tiny_model, tp=3)  # does not divide 8 heads
+    template = _template(tiny_model)
+    for micro_batch, seq_len in ((0, 128), (2, 0)):
+        with pytest.raises(ConfigurationError, match="micro_batch and seq_len must be positive"):
+            template.forward_compute_ops(micro_batch, seq_len)
+    # kv_len=0 means seq_len: both spell the same (memoized) operators.
+    assert template.forward_compute_ops(2, 128) is template.forward_compute_ops(2, 128, 128)
 
 
 def test_attention_gemm_shapes_no_tp(tiny_model):
-    spec = _spec(tiny_model, micro_batch=2, seq=128)
-    gemms = {g.name: g for g in TransformerLayerBuilder(spec).attention_gemms()}
+    gemms = _by_name(_template(tiny_model).forward_gemms(2, 128))
     qkv = gemms["qkv_projection"]
     assert qkv.m == 2 * 128
     assert qkv.k == tiny_model.hidden_size
@@ -43,60 +53,76 @@ def test_attention_gemm_shapes_no_tp(tiny_model):
 
 
 def test_tp_shards_attention_and_mlp(tiny_model):
-    full = TransformerLayerBuilder(_spec(tiny_model, tp=1))
-    sharded = TransformerLayerBuilder(_spec(tiny_model, tp=4))
-    full_flops = sum(g.flops for g in full.forward_gemms())
-    sharded_flops = sum(g.flops for g in sharded.forward_gemms())
+    full_flops = sum(g.flops for g in _template(tiny_model, tp=1).forward_gemms(2, 128))
+    sharded_flops = sum(g.flops for g in _template(tiny_model, tp=4).forward_gemms(2, 128))
     # The per-rank FLOPs shrink by the TP degree (the LM head is not included here).
     assert sharded_flops == pytest.approx(full_flops / 4, rel=1e-6)
 
 
 def test_gqa_qkv_width(tiny_swiglu_model):
-    spec = _spec(tiny_swiglu_model, tp=1)
-    qkv = TransformerLayerBuilder(spec).attention_gemms()[0]
+    qkv = _template(tiny_swiglu_model).forward_gemms(2, 128)[0]
     expected = tiny_swiglu_model.hidden_size + 2 * tiny_swiglu_model.num_kv_heads * tiny_swiglu_model.head_dim
     assert qkv.n == expected
 
 
 def test_swiglu_has_three_mlp_gemms(tiny_swiglu_model, tiny_model):
-    swiglu = TransformerLayerBuilder(_spec(tiny_swiglu_model)).mlp_gemms()
-    gelu = TransformerLayerBuilder(_spec(tiny_model)).mlp_gemms()
-    assert len(swiglu) == 3
-    assert len(gelu) == 2
+    def mlp_gemms(model):
+        return [g for g in _template(model).forward_gemms(2, 128) if g.name.startswith("mlp")]
+
+    assert len(mlp_gemms(tiny_swiglu_model)) == 3
+    assert len(mlp_gemms(tiny_model)) == 2
 
 
 def test_forward_gemm_names_match_paper_table4(tiny_model):
-    names = [g.name for g in TransformerLayerBuilder(_spec(tiny_model)).forward_gemms()]
+    names = [g.name for g in _template(tiny_model).forward_gemms(2, 128)]
     for expected in ("qkv_projection", "attention_scores", "attention_context", "attention_output", "mlp_h_to_4h", "mlp_4h_to_h"):
         assert expected in names
 
 
 def test_dropout_only_in_training(tiny_model):
-    training = TransformerLayerBuilder(_spec(tiny_model, with_dropout=True))
-    inference = TransformerLayerBuilder(_spec(tiny_model, with_dropout=False))
-    training_names = [op.name for op in training.forward_compute_ops()]
-    inference_names = [op.name for op in inference.forward_compute_ops()]
+    training_names = [op.name for op in _template(tiny_model, with_dropout=True).forward_compute_ops(2, 128)]
+    inference_names = [op.name for op in _template(tiny_model, with_dropout=False).forward_compute_ops(2, 128)]
     assert any("dropout" in name for name in training_names)
     assert not any("dropout" in name for name in inference_names)
 
 
 def test_kv_cache_append_present_when_enabled(tiny_model):
-    builder = TransformerLayerBuilder(_spec(tiny_model, use_kv_cache=True, with_dropout=False))
-    names = [op.name for op in builder.forward_compute_ops()]
+    template = _template(tiny_model, use_kv_cache=True, with_dropout=False)
+    names = [op.name for op in template.forward_compute_ops(2, 128)]
     assert "kv_cache_append" in names
 
 
 def test_decode_spec_uses_kv_len(tiny_model):
-    spec = _spec(tiny_model, seq=1, kv_len=333, with_dropout=False, use_kv_cache=True)
-    gemms = {g.name: g for g in TransformerLayerBuilder(spec).attention_gemms()}
+    template = _template(tiny_model, with_dropout=False, use_kv_cache=True)
+    gemms = _by_name(template.forward_gemms(2, 1, 333))
     assert gemms["attention_scores"].n == 333
     assert gemms["attention_context"].k == 333
-    assert gemms["qkv_projection"].m == spec.micro_batch
+    assert gemms["qkv_projection"].m == 2
+
+
+def test_token_ops_are_shared_across_kv_lengths(tiny_model):
+    template = _template(tiny_model, with_dropout=False, use_kv_cache=True)
+    short = template.forward_compute_ops(2, 1, 100)
+    long = template.forward_compute_ops(2, 1, 101)
+    kv_dependent = {"attention_scores", "attention_softmax", "attention_context"}
+    for op, other in zip(short, long):
+        assert (op is other) == (op.name not in kv_dependent)
+
+
+def test_step_cost_orders_hold_the_forward_operators(tiny_model):
+    template = _template(tiny_model, with_dropout=False, use_kv_cache=True)
+    forward = template.forward_compute_ops(1, 16)
+    step = template.step_token_ops(16) + template.step_attention_ops(16, 16)
+    assert sorted(map(id, step)) == sorted(map(id, forward))
+    assert [op.name for op in template.step_attention_ops(1, 40)] == [
+        "attention_scores",
+        "attention_context",
+        "attention_softmax",
+    ]
 
 
 def test_forward_communication_all_reduce_count_and_volume(tiny_model):
-    spec = _spec(tiny_model, tp=4, micro_batch=2, seq=128)
-    comm = TransformerLayerBuilder(spec).forward_communication()
+    comm = _template(tiny_model, tp=4).forward_communication(2 * 128)
     assert len(comm) == 2
     expected_payload = 2 * 128 * tiny_model.hidden_size * Precision.FP16.bytes_per_element
     for op in comm:
@@ -106,8 +132,8 @@ def test_forward_communication_all_reduce_count_and_volume(tiny_model):
 
 
 def test_sequence_parallel_swaps_collectives_same_volume(tiny_model):
-    plain = TransformerLayerBuilder(_spec(tiny_model, tp=4)).forward_communication()
-    sp = TransformerLayerBuilder(_spec(tiny_model, tp=4, sp=True)).forward_communication()
+    plain = _template(tiny_model, tp=4).forward_communication(256)
+    sp = _template(tiny_model, tp=4, sp=True).forward_communication(256)
     assert len(sp) == 4  # reduce-scatter + all-gather per block
     kinds = {op.collective for op in sp}
     assert kinds == {CollectiveKind.REDUCE_SCATTER, CollectiveKind.ALL_GATHER}
@@ -117,25 +143,26 @@ def test_sequence_parallel_swaps_collectives_same_volume(tiny_model):
 
 
 def test_no_communication_without_tp(tiny_model):
-    assert TransformerLayerBuilder(_spec(tiny_model, tp=1)).forward_communication() == []
+    assert _template(tiny_model, tp=1).forward_communication(256) == ()
 
 
 def test_sequence_parallel_shards_norm_elements(tiny_model):
-    plain = _spec(tiny_model, tp=4, sp=False)
-    sp = _spec(tiny_model, tp=4, sp=True)
-    assert sp.norm_elements == plain.norm_elements // 4
+    plain = _template(tiny_model, tp=4, sp=False)
+    sp = _template(tiny_model, tp=4, sp=True)
+    assert sp.norm_elements(256) == plain.norm_elements(256) // 4
 
 
 def test_backward_ops_flops_are_double_forward(tiny_model):
-    builder = TransformerLayerBuilder(_spec(tiny_model, tp=2))
-    forward_gemm_flops = sum(g.flops for g in builder.forward_gemms())
-    backward_gemm_flops = sum(op.flops for op in builder.backward_compute_ops() if isinstance(op, GEMM))
+    template = _template(tiny_model, tp=2)
+    forward_gemm_flops = sum(g.flops for g in template.forward_gemms(2, 128))
+    backward_gemm_flops = sum(op.flops for op in template.backward_compute_ops(2, 128) if isinstance(op, GEMM))
     assert backward_gemm_flops == pytest.approx(2 * forward_gemm_flops, rel=1e-6)
 
 
 def test_backward_communication_mirrors_forward(tiny_model):
-    builder = TransformerLayerBuilder(_spec(tiny_model, tp=4))
-    fwd = builder.forward_communication()
-    bwd = builder.backward_communication()
+    template = _template(tiny_model, tp=4)
+    fwd = template.forward_communication(256)
+    bwd = template.backward_communication(256)
     assert len(fwd) == len(bwd)
     assert sum(op.data_bytes for op in fwd) == pytest.approx(sum(op.data_bytes for op in bwd))
+    assert template.communication(256) == fwd + bwd
