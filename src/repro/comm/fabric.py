@@ -22,7 +22,7 @@ from ..errors import ConfigurationError
 from ..hardware.cluster import SystemSpec
 from ..hardware.network import Interconnect
 from ..units import MIB, MICROSECOND
-from ..workload.operators import CollectiveKind, CommunicationOp
+from ..workload.operators import CollectiveColumns, CollectiveKind, CommunicationOp
 from .collectives import (
     CollectiveAlgorithm,
     all_gather_time,
@@ -67,7 +67,6 @@ class CollectiveBatch:
     queries in a handful of vectorized operations.
 
     Attributes:
-        ops: The source operators, in row order.
         data_bytes: Payload sizes (float64).
         group_sizes: Participating device counts (float64; exact for every
             realistic group size).
@@ -75,25 +74,35 @@ class CollectiveBatch:
         inter_node: Whether each row uses the inter-node fabric.
     """
 
-    ops: Tuple[CommunicationOp, ...]
     data_bytes: np.ndarray
     group_sizes: np.ndarray
     kind_codes: np.ndarray
     inter_node: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return self.data_bytes.shape[0]
 
     @classmethod
     def from_ops(cls, ops: Sequence[CommunicationOp]) -> "CollectiveBatch":
         """Transpose a sequence of operators into one batch."""
         ops = tuple(ops)
         return cls(
-            ops=ops,
             data_bytes=np.array([op.data_bytes for op in ops], dtype=np.float64),
             group_sizes=np.array([op.group_size for op in ops], dtype=np.float64),
             kind_codes=np.array([_KIND_CODES[op.collective] for op in ops], dtype=np.int8),
             inter_node=np.array([op.scope == "inter_node" for op in ops], dtype=bool),
+        )
+
+    @classmethod
+    def from_columns(cls, columns: Sequence[CollectiveColumns], size: int) -> "CollectiveBatch":
+        """Stack collectives given at ``size`` payloads each into one batch, collective by collective."""
+        return cls(
+            data_bytes=np.concatenate(
+                [np.broadcast_to(np.asarray(column.data_bytes, dtype=np.float64), (size,)) for column in columns]
+            ),
+            group_sizes=np.repeat(np.array([column.group_size for column in columns], dtype=np.float64), size),
+            kind_codes=np.repeat(np.array([_KIND_CODES[column.collective] for column in columns], dtype=np.int8), size),
+            inter_node=np.repeat(np.array([column.scope == "inter_node" for column in columns], dtype=bool), size),
         )
 
 
@@ -207,7 +216,7 @@ class CollectiveModel:
         combine this with :meth:`memoized` / :meth:`memoize` (see
         :meth:`time_batch`).
         """
-        times = np.zeros(len(batch.ops), dtype=np.float64)
+        times = np.zeros(len(batch), dtype=np.float64)
         active = ~((batch.group_sizes <= 1.0) | (batch.data_bytes == 0.0))
         if not active.any():
             return times

@@ -2,7 +2,7 @@
 
 This module is the reusable pricing core that both the end-to-end
 :class:`~repro.core.inference.InferencePerformanceModel` and the serving
-simulator (:mod:`repro.serving`) are built on.  It answers two questions
+simulator (:mod:`repro.serving`) are built on.  It answers three questions
 directly:
 
 * **What does one prefill over this set of prompt lengths cost?**
@@ -16,26 +16,30 @@ directly:
 * **What do ``k`` consecutive decode steps of a fixed batch cost?**
   (:meth:`StepCostModel.decode_run`) -- between two composition changes of a
   continuous-batching engine the decode batch is identical except for every
-  KV length advancing by one per step.  The whole steps x batch KV-length
-  matrix is priced in one vectorized pass: weight GEMMs, collectives, and
-  the lm_head are constant across the epoch and priced once, while the
-  KV-dependent attention kernels are looked up from a per-KV-length time
-  table filled through the batched roofline backend.  The returned per-step
-  costs are bit-identical to ``k`` sequential :meth:`decode_step` calls.
+  KV length advancing by one per step, so the whole steps x batch KV-length
+  matrix is priced at once.
 
-Both single-step questions are evaluated in **one** call through the
-vectorized roofline backend (:meth:`GemmTimeModel.evaluate_many
-<repro.perf.gemm.GemmTimeModel.evaluate_many>` /
-:mod:`repro.perf.batched`), and :meth:`~StepCostModel.decode_run` amortizes
-even the per-step Python work across a whole epoch -- which is what makes a
-discrete-event serving simulation over thousands of steps tractable.
+The serving paths (:meth:`~StepCostModel.prefill_step` and
+:meth:`~StepCostModel.decode_run`) price from length-indexed tables, one set
+per (model, TP degree, precision): decode attention by KV length, prefill
+attention by prompt length, the token kernels' partial sums by token count,
+the lm head by logits-row count, and the TP collective time by token count.
+A table grows over a contiguous range of lengths with one batched
+evaluation (:mod:`repro.perf.batched`, the memory-bound kernel model's
+column entry point, the collective model's ``evaluate_batch``) of the column
+views a :class:`~repro.workload.transformer_layer.LayerTemplate` renders.
+A step is then one gather plus one sequential ``cumsum`` per time bin, in
+the scalar accumulation order, so its cost is bit-identical to pricing the
+step's operators one by one.
 
-Every operator comes from one
-:class:`~repro.workload.transformer_layer.LayerTemplate` per (model, TP
-degree, precision), held by the model for its lifetime: the template builds
-the token-count kernels once per token count and each request's attention
-core once per (query, KV) length, in the order the step accumulations sum
-them.
+That scalar pricing stays as the reference: :meth:`~StepCostModel.decode_step`
+and ``_price_step`` walk the template's operator objects through the kernel
+memos (:meth:`GemmTimeModel.evaluate_many
+<repro.perf.gemm.GemmTimeModel.evaluate_many>` warms them in one batched
+call).  The template, one per (model, TP degree, precision) and held by the
+model for its lifetime, builds the token-count kernels once per token count
+and each request's attention core once per (query, KV) length, in the order
+the step accumulations sum them.
 
 The module also hosts the phase-report builders
 (:meth:`StepCostModel.phase_report`, :meth:`StepCostModel.decode_report_exact`)
@@ -49,19 +53,20 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..caching import Memo
 from ..comm.collectives import CollectiveAlgorithm
-from ..comm.fabric import CollectiveModel, shared_collective_model
+from ..comm.fabric import CollectiveBatch, CollectiveModel, shared_collective_model
+from ..errors import ConfigurationError
 from ..hardware.cluster import SystemSpec
 from ..hardware.datatypes import Precision
 from ..models.transformer import TransformerConfig
 from ..perf.kernels import DeviceKernelModel
 from ..perf.roofline import BoundType
-from ..workload.operators import GEMM, Operator
+from ..workload.operators import GEMM, GemmColumns, Operator
 from ..workload.transformer_layer import LayerTemplate, layer_template
 from .reports import KernelTimeEntry, PhaseReport, dram_bytes
 
@@ -149,46 +154,54 @@ class DecodeRun:
 
 _EMPTY_TIMES = np.zeros(0, dtype=np.float64)
 
+#: Smallest size a length table grows to.
+_MIN_TABLE_SIZE = 256
+#: Configurations (model, TP degree, precision) whose tables one model keeps.
+_MAX_TABLE_CONFIGS = 64
 
-class _AttentionTimeTable:
-    """Grow-on-demand per-KV-length times of the decode attention kernels.
 
-    One contiguous ``(7, size)`` array so an epoch needs a single fancy-
-    indexed gather.  Kernel order within a request mirrors the order
-    :meth:`StepCostModel._attention_ops` emits: scores GEMM, context GEMM,
-    softmax.  Rows:
+class _LengthTable:
+    """Step terms of one kernel group at every length below ``high``.
 
-    * 0-2: ``point.time + launch overhead`` of scores / context / softmax
-      (the terms the device-time accumulation adds);
-    * 3-4: bare ``point.time`` of the scores / context GEMM when compute
-      bound, else 0.0;
-    * 5-6: the same split for memory/cache-bound time.
-
-    The zero in the other bin keeps summing both bins over any KV set exact
-    (adding 0.0 to a non-negative float is the identity).
+    ``terms`` holds the lengths on axis 1.  Growth builds a new array in
+    full (old rows copied, new rows priced), publishes it, and only then
+    raises ``high``; rows below ``high`` are never written again.  A reader
+    that checks ``high`` before it reads ``terms`` therefore gathers from an
+    array that covers what it checked, without taking a lock.
     """
 
-    #: Row indices of the table.
-    DEV_SCORES, DEV_CONTEXT, DEV_SOFTMAX, COMP_SCORES, COMP_CONTEXT, MEM_SCORES, MEM_CONTEXT = range(7)
-
-    __slots__ = ("filled", "terms")
+    __slots__ = ("terms", "high")
 
     def __init__(self) -> None:
-        self.filled = np.zeros(0, dtype=bool)
-        self.terms = np.zeros((7, 0), dtype=np.float64)
+        self.terms = _EMPTY_TIMES
+        self.high = 0
 
-    def reserve(self, size: int) -> None:
-        """Grow the table so KV lengths below ``size`` are addressable."""
-        current = self.filled.shape[0]
-        if size <= current:
-            return
-        size = max(size, 2 * current, 256)
-        filled = np.zeros(size, dtype=bool)
-        filled[:current] = self.filled
-        self.filled = filled
-        terms = np.zeros((7, size), dtype=np.float64)
-        terms[:, :current] = self.terms
-        self.terms = terms
+
+class _StepTables:
+    """The length-indexed step terms of one (model, TP degree, precision).
+
+    Axis 0 of every table is ``(device, compute-bound, memory-bound)`` as
+    :meth:`StepCostModel._kernel_terms` defines them; axis 1 is the length.
+
+    * ``decode_attention``: ``(3, KV length, kernel)`` of one request's
+      scores, context and softmax at query length 1 (KV length 0 prices as 1);
+    * ``prefill_attention``: the same at query length = KV length = prompt
+      length (row 0 is never read);
+    * ``tokens``: ``(3, token count)``, the token kernels' sums in step order;
+    * ``lm_head``: ``(3, logits rows)``;
+    * ``collectives``: ``(1, token count)``, one layer's TP collective time.
+    """
+
+    __slots__ = ("template", "scope", "decode_attention", "prefill_attention", "tokens", "lm_head", "collectives")
+
+    def __init__(self, template: LayerTemplate, scope: str) -> None:
+        self.template = template
+        self.scope = scope
+        self.decode_attention = _LengthTable()
+        self.prefill_attention = _LengthTable()
+        self.tokens = _LengthTable()
+        self.lm_head = _LengthTable()
+        self.collectives = _LengthTable()
 
 
 @dataclasses.dataclass
@@ -203,6 +216,13 @@ class StepCostModel:
         collective_model: Communication model; defaults to the double-binary-
             tree algorithm, the latency-optimal choice for the small messages
             of the decode phase.
+
+    ``cache_hits`` and ``cache_misses`` count lookups in the step tables,
+    one per table a :meth:`prefill_step` or :meth:`decode_run` call reads
+    (attention, token kernels, lm head, and the collectives when TP > 1): a
+    hit when the table already covers the demanded length, a miss when the
+    lookup grew it.  The scalar :meth:`decode_step` reads no table and
+    counts nothing.
     """
 
     system: SystemSpec
@@ -216,28 +236,18 @@ class StepCostModel:
             self.collective_model = shared_collective_model(
                 self.system, CollectiveAlgorithm.DOUBLE_BINARY_TREE
             )
-        # Layer templates (one per model, TP degree and precision; their
-        # operator groups) and per-layer collective times recur across
-        # thousands of simulation steps; memoizing them keeps the
-        # discrete-event loop allocation-light.
+        # Layer templates: one per model, TP degree and precision, with
+        # their operator groups.
         self._templates = Memo(max_size=64)
-        self._comm_time_cache = Memo()
-        # Epoch-fused decode pricing state: per-KV-length attention time
-        # tables and the batch-constant partial sums of the token ops.  Both
+        # The length-indexed step tables of each configuration.  They
         # survive across simulations (and across the scenarios of a sweep
         # when the model instance is shared through the engine).
-        self._attention_tables: Dict[Tuple, _AttentionTimeTable] = {}
-        self._token_partials_cache = Memo()
-        self._head_terms_cache = Memo()
-        # Serializes table growth + fills: one StepCostModel is shared per
-        # system (engine_for), so the study service's job threads price
-        # epochs concurrently.  The read path stays lock-free -- growth
-        # copies the old content and a gather reads one array reference
-        # atomically.
+        self._tables: Dict[Tuple, _StepTables] = {}
+        # Serializes creating, evicting and growing tables: one
+        # StepCostModel is shared per system (engine_for), so the study
+        # service's job threads price steps concurrently.  Reads stay
+        # lock-free (see _LengthTable).
         self._table_lock = threading.Lock()
-        # Memo telemetry: every operator, time and table lookup counts as a
-        # hit or a miss, so sweeps can verify that a shared instance actually
-        # reuses its pricing work across scenario evaluations.
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -417,13 +427,12 @@ class StepCostModel:
             kernel_breakdown=entries,
         )
 
-    # -- mixed-batch step costs (the serving-simulator backend) ------------------------
-
-    def _count(self, hit: bool) -> None:
-        if hit:
-            self.cache_hits += 1
-        else:
-            self.cache_misses += 1
+    # -- mixed-batch step costs: the scalar reference ---------------------------------
+    #
+    # decode_step and _price_step price the template's operator objects
+    # through the kernel memos, one step at a time.  They are the oracle the
+    # table-priced paths below are tested against, and the decode path of
+    # ServingSimulator(fused=False).
 
     def _token_ops(
         self, model: TransformerConfig, tokens: int, tensor_parallel: int, precision: Precision
@@ -435,9 +444,7 @@ class StepCostModel:
         MLP), the layer-norms, residuals, and the KV-cache append all see
         ``tokens`` rows regardless of how those rows split across requests.
         """
-        template = self.template(model, tensor_parallel, precision)
-        self._count(template.has_token_ops(tokens))
-        return template.step_token_ops(tokens)
+        return self.template(model, tensor_parallel, precision).step_token_ops(tokens)
 
     def _attention_ops(
         self,
@@ -448,10 +455,7 @@ class StepCostModel:
         precision: Precision,
     ) -> Tuple[Operator, ...]:
         """Per-request attention kernels: scores and context GEMMs plus softmax."""
-        template = self.template(model, tensor_parallel, precision)
-        kv_len = max(1, kv_len)
-        self._count(template.has_attention_ops(seq_len, kv_len))
-        return template.step_attention_ops(seq_len, kv_len)
+        return self.template(model, tensor_parallel, precision).step_attention_ops(seq_len, max(1, kv_len))
 
     def _layer_comm_time(
         self, model: TransformerConfig, tokens: int, tensor_parallel: int, precision: Precision
@@ -459,17 +463,10 @@ class StepCostModel:
         """Tensor-parallel collective time of one layer over ``tokens`` query tokens."""
         if tensor_parallel <= 1:
             return 0.0
-        key = (model, tokens, tensor_parallel, precision)
-        cached = self._comm_time_cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        self.cache_misses += 1
         comms = self.template(model, tensor_parallel, precision).forward_communication(
             tokens, self.tp_scope(tensor_parallel)
         )
-        time = sum(self.collective_model.time(comm) for comm in comms)
-        return self._comm_time_cache.put(key, time)
+        return sum(self.collective_model.time(comm) for comm in comms)
 
     def _price_step(
         self,
@@ -530,39 +527,6 @@ class StepCostModel:
             tokens=tokens,
         )
 
-    def prefill_step(
-        self,
-        model: TransformerConfig,
-        prompt_lens: Sequence[int],
-        tensor_parallel: int = 1,
-        precision: Precision = Precision.FP16,
-        include_lm_head: bool = True,
-    ) -> StepCost:
-        """Cost of one prefill over a batch of prompts with the given lengths.
-
-        The prompts are packed into one forward pass: weight GEMMs and norms
-        see ``sum(prompt_lens)`` tokens, while each request keeps its own
-        attention-scores/context GEMMs and softmax at its own length.  The
-        lm_head prices one logits row per request (only the last prompt token
-        feeds generation).
-        """
-        prompt_lens = [int(length) for length in prompt_lens]
-        if not prompt_lens:
-            return ZERO_STEP
-        tokens = sum(prompt_lens)
-        layer_ops: List[Operator] = list(self._token_ops(model, tokens, tensor_parallel, precision))
-        for length in prompt_lens:
-            layer_ops.extend(self._attention_ops(model, length, length, tensor_parallel, precision))
-        return self._price_step(
-            model,
-            layer_ops,
-            tensor_parallel,
-            precision,
-            num_requests=len(prompt_lens),
-            tokens=tokens,
-            include_lm_head=include_lm_head,
-        )
-
     def decode_step(
         self,
         model: TransformerConfig,
@@ -594,169 +558,187 @@ class StepCostModel:
             include_lm_head=include_lm_head,
         )
 
-    # -- epoch-fused decode pricing (the event-horizon serving backend) ----------------
+    # -- length-indexed step tables (the serving-simulator backend) --------------------
 
-    def _attention_table(
-        self, model: TransformerConfig, tensor_parallel: int, precision: Precision
-    ) -> _AttentionTimeTable:
-        """The per-KV-length attention time table of one batch configuration."""
+    def _step_tables(self, model: TransformerConfig, tensor_parallel: int, precision: Precision) -> _StepTables:
+        """The step tables of one configuration, created on first use."""
         key = (model, tensor_parallel, precision)
-        table = self._attention_tables.get(key)
-        if table is None:
-            if len(self._attention_tables) >= 64:
-                # Evict the oldest configuration only: clearing everything
-                # would throw away the warm tables of the other 63.
-                self._attention_tables.pop(next(iter(self._attention_tables)))
-            table = _AttentionTimeTable()
-            self._attention_tables[key] = table
-        return table
+        tables = self._tables.get(key)
+        if tables is None:
+            with self._table_lock:
+                tables = self._tables.get(key)
+                if tables is None:
+                    if len(self._tables) >= _MAX_TABLE_CONFIGS:
+                        # Evict the oldest configuration only: clearing
+                        # everything would throw away the warm tables of the
+                        # others.
+                        self._tables.pop(next(iter(self._tables)))
+                    tables = _StepTables(
+                        self.template(model, tensor_parallel, precision), self.tp_scope(tensor_parallel)
+                    )
+                    self._tables[key] = tables
+        return tables
 
-    def _demand_attention_rows(
-        self,
-        table: _AttentionTimeTable,
-        model: TransformerConfig,
-        kv_lens: Sequence[int],
-        num_steps: int,
-        tensor_parallel: int,
-        precision: Precision,
-    ) -> None:
-        """Make sure the table covers ``[kv, kv + num_steps)`` for every batch entry.
+    def _cover(
+        self, table: _LengthTable, demand: int, price: Callable[..., np.ndarray], *args: object
+    ) -> np.ndarray:
+        """``table``'s terms, grown first when they stop below length ``demand``.
 
-        The epoch's KV demand is a union of equal-length integer ranges, so
-        coverage is computed by merging the (at most batch-size) sorted
-        ranges instead of deduplicating the full steps x batch matrix; on the
-        common warm path every span is already filled and this is just one
-        ``all()`` per span.  Growth and fills hold the table lock because the
-        owning model is shared across the study service's job threads.
+        Growth prices the new lengths ``[high, size)`` with one
+        ``price(*args, lengths)`` call, ``size = max(demand, 2 * high, 256)``,
+        so one growth prices at most about twice the demanded lengths.
+        Counts one cache hit when the table already covers ``demand`` and one
+        miss when this lookup grew it.
         """
-        unique_kvs = sorted(set(kv_lens))
+        if demand <= table.high:
+            self.cache_hits += 1
+            return table.terms
         with self._table_lock:
-            table.reserve(unique_kvs[-1] + num_steps)
-            spans: List[List[int]] = []
-            for kv in unique_kvs:
-                stop = kv + num_steps
-                if spans and kv <= spans[-1][1]:
-                    if stop > spans[-1][1]:
-                        spans[-1][1] = stop
-                else:
-                    spans.append([kv, stop])
-            filled = table.filled
-            demanded = 0
-            chunks: List[np.ndarray] = []
-            for start, stop in spans:
-                demanded += stop - start
-                segment = filled[start:stop]
-                if not segment.all():
-                    chunks.append(start + np.nonzero(~segment)[0])
-            if not chunks:
-                self.cache_hits += demanded
-                return
-            missing = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-            self.cache_hits += demanded - int(missing.size)
-            self.cache_misses += int(missing.size)
-            self._fill_attention_table(table, model, missing, tensor_parallel, precision)
+            high = table.high
+            if demand > high:
+                size = max(demand, 2 * high, _MIN_TABLE_SIZE)
+                fresh = price(*args, np.arange(high, size, dtype=np.int64))
+                terms = np.empty(fresh.shape[:1] + (size,) + fresh.shape[2:], dtype=np.float64)
+                if high:
+                    terms[:, :high] = table.terms[:, :high]
+                terms[:, high:] = fresh
+                table.terms = terms
+                table.high = size
+                self.cache_misses += 1
+                return terms
+        self.cache_hits += 1  # another thread grew it meanwhile
+        return table.terms
 
-    def _fill_attention_table(
-        self,
-        table: _AttentionTimeTable,
-        model: TransformerConfig,
-        missing: np.ndarray,
-        tensor_parallel: int,
-        precision: Precision,
-    ) -> None:
-        """Price the attention kernels of every KV length in ``missing`` at once.
+    def _kernel_terms(self, kernels: Sequence, size: int) -> np.ndarray:
+        """Step terms of column-view kernels, shape ``(3, len(kernels), size)``.
 
-        The scores/context GEMMs of all lengths go through the batched
-        roofline backend in one call and the softmaxes through the
-        memory-bound kernel model's vectorized ``evaluate_times``, so the stored terms
-        match what the scalar per-step accumulation of :meth:`_price_step`
-        adds for each kernel bit for bit (the backend's exact-equality
-        contract, enforced by ``tests/perf/test_batched.py``).
+        Row 0 holds each kernel's ``point.time + overhead``, the term the
+        scalar accumulation of :meth:`_price_step` adds to the device time.
+        Rows 1 and 2 hold a GEMM's bare kernel time in its bound's bin
+        (compute, then memory/cache) and 0.0 in the other; memory-bound
+        kernels only add to the device time.  Adding 0.0 is exact, so a
+        sequential sum over any kernels equals the scalar accumulation bit
+        for bit (the batched backends' exact-equality contract).
         """
         from ..perf.batched import BOUND_COMPUTE, GemmBatch
 
-        ops_by_kv = [
-            self._attention_ops(model, 1, int(kv), tensor_parallel, precision) for kv in missing
-        ]
-        gemm_model = self.kernel_model.gemm_model
-        result = gemm_model.batched.evaluate_batch(
-            GemmBatch.from_gemms(op for scores, context, _ in ops_by_kv for op in (scores, context))
-        )
-        times = result.kernel_time
-        compute_bound = result.bound_codes == BOUND_COMPUTE
-        device_terms = times + gemm_model.kernel_overhead
-        terms = table.terms
-        for offset, (dev_row, comp_row, mem_row) in enumerate(
-            (
-                (table.DEV_SCORES, table.COMP_SCORES, table.MEM_SCORES),
-                (table.DEV_CONTEXT, table.COMP_CONTEXT, table.MEM_CONTEXT),
+        def column(values) -> np.ndarray:
+            return np.broadcast_to(np.asarray(values, dtype=np.float64), (size,))
+
+        terms = np.zeros((3, len(kernels), size), dtype=np.float64)
+        gemm_rows = [row for row, kernel in enumerate(kernels) if isinstance(kernel, GemmColumns)]
+        stream_rows = [row for row, kernel in enumerate(kernels) if not isinstance(kernel, GemmColumns)]
+        if gemm_rows:
+            gemms = [kernels[row] for row in gemm_rows]
+            (precision,) = {gemm.precision for gemm in gemms}  # one template, one precision
+            gemm_model = self.kernel_model.gemm_model
+            result = gemm_model.batched.evaluate_batch(
+                GemmBatch.from_arrays(
+                    m=np.concatenate([column(gemm.m) for gemm in gemms]),
+                    n=np.concatenate([column(gemm.n) for gemm in gemms]),
+                    k=np.concatenate([column(gemm.k) for gemm in gemms]),
+                    batch=np.concatenate([column(gemm.batch) for gemm in gemms]),
+                    precision=precision,
+                    weight_operand=np.repeat([gemm.weight_operand for gemm in gemms], size),
+                    accumulate=np.repeat([gemm.accumulate for gemm in gemms], size),
+                )
             )
-        ):
-            terms[dev_row, missing] = device_terms[offset::2]
-            terms[comp_row, missing] = np.where(compute_bound[offset::2], times[offset::2], 0.0)
-            terms[mem_row, missing] = np.where(compute_bound[offset::2], 0.0, times[offset::2])
+            times = result.kernel_time.reshape(len(gemms), size)
+            compute_bound = (result.bound_codes == BOUND_COMPUTE).reshape(len(gemms), size)
+            terms[0, gemm_rows] = times + gemm_model.kernel_overhead
+            terms[1, gemm_rows] = np.where(compute_bound, times, 0.0)
+            terms[2, gemm_rows] = np.where(compute_bound, 0.0, times)
+        if stream_rows:
+            streams = [kernels[row] for row in stream_rows]
+            memory_model = self.kernel_model.memory_model
+            times = memory_model.evaluate_columns(
+                np.concatenate([column(stream.flops) for stream in streams]),
+                np.concatenate([column(stream.bytes_total) for stream in streams]),
+            )
+            terms[0, stream_rows] = times.reshape(len(streams), size) + memory_model.kernel_overhead
+        return terms
 
-        memory_model = self.kernel_model.memory_model
-        softmax_times = memory_model.evaluate_times([softmax for _, _, softmax in ops_by_kv])
-        terms[table.DEV_SOFTMAX, missing] = softmax_times + memory_model.kernel_overhead
-        table.filled[missing] = True
+    def _token_terms(self, template: LayerTemplate, tokens: np.ndarray) -> np.ndarray:
+        """The token kernels' sums in step order at each token count (row 0 is never read)."""
+        kernels = template.step_token_columns(np.maximum(tokens, 1))
+        return self._kernel_terms(kernels, len(tokens)).cumsum(axis=1)[:, -1]
 
-    def _token_partials(
-        self, model: TransformerConfig, tokens: int, tensor_parallel: int, precision: Precision
-    ) -> Tuple[float, float, float]:
-        """Partial sums of the batch-constant (token-count) kernels of one step.
+    def _attention_terms(self, template: LayerTemplate, seq_len, kv_len: np.ndarray) -> np.ndarray:
+        kernels = template.step_attention_columns(seq_len, kv_len)
+        return self._kernel_terms(kernels, len(kv_len)).transpose(0, 2, 1)
 
-        Returns ``(device, compute_bound, memory_bound)`` exactly as the
-        scalar :meth:`_price_step` accumulation holds them after the token
-        ops and before the first per-request attention kernel, so a fused
-        run can seed its sequential per-step reductions with them.
+    def _decode_attention_terms(self, template: LayerTemplate, kv_lens: np.ndarray) -> np.ndarray:
+        return self._attention_terms(template, 1, np.maximum(kv_lens, 1))
+
+    def _prefill_attention_terms(self, template: LayerTemplate, prompt_lens: np.ndarray) -> np.ndarray:
+        prompt_lens = np.maximum(prompt_lens, 1)
+        return self._attention_terms(template, prompt_lens, prompt_lens)
+
+    def _lm_head_terms(self, template: LayerTemplate, rows: np.ndarray) -> np.ndarray:
+        return self._kernel_terms((template.lm_head_columns(np.maximum(rows, 1)),), len(rows))[:, 0]
+
+    def _collective_terms(self, template: LayerTemplate, scope: str, tokens: np.ndarray) -> np.ndarray:
+        columns = template.forward_communication_columns(np.maximum(tokens, 1), scope)
+        times = self.collective_model.evaluate_batch(CollectiveBatch.from_columns(columns, len(tokens)))
+        return times.reshape(len(columns), len(tokens)).cumsum(axis=0)[-1:]
+
+    def _layer_collective_time(self, tables: _StepTables, tokens: int, tensor_parallel: int) -> float:
+        """:meth:`_layer_comm_time` from the collective table."""
+        if tensor_parallel <= 1:
+            return 0.0
+        terms = self._cover(tables.collectives, tokens + 1, self._collective_terms, tables.template, tables.scope)
+        return float(terms[0, tokens])
+
+    def prefill_step(
+        self,
+        model: TransformerConfig,
+        prompt_lens: Sequence[int],
+        tensor_parallel: int = 1,
+        precision: Precision = Precision.FP16,
+        include_lm_head: bool = True,
+    ) -> StepCost:
+        """Cost of one prefill over a batch of prompts with the given lengths.
+
+        The prompts are packed into one forward pass: weight GEMMs and norms
+        see ``sum(prompt_lens)`` tokens, while each request keeps its own
+        attention-scores/context GEMMs and softmax at its own length.  The
+        lm_head prices one logits row per request (only the last prompt token
+        feeds generation).  Every term comes from the step tables, summed in
+        :meth:`_price_step`'s order, so the cost equals the scalar pricing of
+        the same operators bit for bit.
         """
-        key = (model, tokens, tensor_parallel, precision)
-        partials = self._token_partials_cache.get(key)
-        if partials is not None:
-            self.cache_hits += 1
-            return partials
-        self.cache_misses += 1
-        ops = self._token_ops(model, tokens, tensor_parallel, precision)
-        self.kernel_model.gemm_model.evaluate_many([op for op in ops if isinstance(op, GEMM)])
-        device = 0.0
-        compute = 0.0
-        memory = 0.0
-        for op in ops:
-            point = self.kernel_model.evaluate(op)
-            device += point.time + self.kernel_model.overhead(op)
-            if isinstance(op, GEMM):
-                if point.bound is BoundType.COMPUTE:
-                    compute += point.time
-                else:
-                    memory += point.time
-        self._token_partials_cache.put(key, (device, compute, memory))
-        return device, compute, memory
-
-    def _head_terms(
-        self, model: TransformerConfig, tokens: int, tensor_parallel: int, precision: Precision
-    ) -> Tuple[float, float, bool]:
-        """The lm_head's per-step contributions for ``tokens`` logits rows.
-
-        Returns ``(device term, bare kernel time, is compute bound)``; the
-        device term is the ``point.time + overhead`` expression the scalar
-        accumulation adds, computed once per batch composition.
-        """
-        key = (model, tokens, tensor_parallel, precision)
-        terms = self._head_terms_cache.get(key)
-        if terms is not None:
-            self.cache_hits += 1
-            return terms
-        self.cache_misses += 1
-        lm_head = self.template(model, tensor_parallel, precision).lm_head(tokens)
-        point = self.kernel_model.evaluate(lm_head)
-        head_time = point.time
-        terms = (
-            head_time + self.kernel_model.overhead(lm_head),
-            head_time,
-            point.bound is BoundType.COMPUTE,
+        prompt_lens = [int(length) for length in prompt_lens]
+        if not prompt_lens:
+            return ZERO_STEP
+        if min(prompt_lens) < 1:
+            raise ConfigurationError("micro_batch and seq_len must be positive")
+        num_requests = len(prompt_lens)
+        tokens = sum(prompt_lens)
+        num_layers = model.num_layers
+        tables = self._step_tables(model, tensor_parallel, precision)
+        template = tables.template
+        attention = self._cover(tables.prefill_attention, max(prompt_lens) + 1, self._prefill_attention_terms, template)
+        token_terms = self._cover(tables.tokens, tokens + 1, self._token_terms, template)
+        # One sequential sum per bin over [token-kernel sum, zeros, then each
+        # prompt's scores, context and softmax terms]: _price_step's order.
+        terms = np.zeros((3, num_requests + 1, attention.shape[2]), dtype=np.float64)
+        terms[:, 0, 0] = token_terms[:, tokens]
+        terms[:, 1:] = attention[:, prompt_lens]
+        device, compute, memory = (terms.reshape(3, -1).cumsum(axis=1)[:, -1] * num_layers).tolist()
+        if include_lm_head:
+            head = self._cover(tables.lm_head, num_requests + 1, self._lm_head_terms, template)
+            head_device, head_compute, head_memory = head[:, num_requests].tolist()
+            device += head_device
+            compute += head_compute
+            memory += head_memory
+        return StepCost(
+            device_time=device,
+            communication_time=self._layer_collective_time(tables, tokens, tensor_parallel) * num_layers,
+            compute_bound_time=compute,
+            memory_bound_time=memory,
+            num_requests=num_requests,
+            tokens=tokens,
         )
-        return self._head_terms_cache.put(key, terms)
 
     def decode_run(
         self,
@@ -774,77 +756,47 @@ class StepCostModel:
         sequential :meth:`decode_step` calls see over a continuous-batching
         epoch with no admissions or retirements.  The weight GEMMs, the
         collectives, and the lm_head depend only on the (constant) batch
-        composition and are priced once; the per-request attention kernels
-        come from the per-KV-length table.  Every per-step reduction runs as
-        a sequential ``cumsum`` seeded with the scalar path's partial sums,
-        in the scalar path's accumulation order, so the returned per-step
-        costs are **bit-identical** to the step-by-step loop.
+        composition and take one table entry each; the per-request attention
+        kernels are gathered from the decode attention table.  Every per-step
+        reduction runs as a sequential ``cumsum`` in the scalar path's
+        accumulation order, so the returned per-step costs are
+        **bit-identical** to the step-by-step loop.
         """
-        kv_lens = [int(length) for length in kv_lens]
         num_steps = int(num_steps)
-        if not kv_lens or num_steps < 1:
+        batch = len(kv_lens)
+        if not batch or num_steps < 1:
             return DecodeRun(
                 device_times=_EMPTY_TIMES,
                 communication_time=0.0,
                 compute_bound_times=_EMPTY_TIMES,
                 memory_bound_times=_EMPTY_TIMES,
                 total_times=_EMPTY_TIMES,
-                num_requests=len(kv_lens),
+                num_requests=batch,
             )
-        batch = len(kv_lens)
+        kv = np.asarray(kv_lens, dtype=np.int64)
         num_layers = model.num_layers
-        table = self._attention_table(model, tensor_parallel, precision)
-        self._demand_attention_rows(table, model, kv_lens, num_steps, tensor_parallel, precision)
-        token_device, token_compute, token_memory = self._token_partials(
-            model, batch, tensor_parallel, precision
+        tables = self._step_tables(model, tensor_parallel, precision)
+        template = tables.template
+        attention = self._cover(
+            tables.decode_attention, max(int(kv.max()) + num_steps, 1), self._decode_attention_terms, template
         )
+        token_terms = self._cover(tables.tokens, batch + 1, self._token_terms, template)[:, batch]
 
-        # One gather of every attention term the epoch touches:
-        # gathered[row, s, i] is table row `row` at request i's KV length in
-        # step s.
-        kv_matrix = (
-            np.asarray(kv_lens, dtype=np.int64)[None, :]
-            + np.arange(num_steps, dtype=np.int64)[:, None]
-        )
-        gathered = table.terms[:, kv_matrix]
-
-        # Sequential (cumsum) reductions over [token partial, per-request
-        # attention terms...] per step: columns 3i+1..3i+3 of a row hold
-        # request i's scores/context/softmax terms, matching the order the
-        # scalar loop walks layer_ops in.
-        device_terms = np.empty((num_steps, 3 * batch + 1), dtype=np.float64)
-        device_terms[:, 0] = token_device
-        device_terms[:, 1::3] = gathered[table.DEV_SCORES]
-        device_terms[:, 2::3] = gathered[table.DEV_CONTEXT]
-        device_terms[:, 3::3] = gathered[table.DEV_SOFTMAX]
-        device_times = device_terms.cumsum(axis=1)[:, -1] * num_layers
-
-        # Compute- and memory-bound splits share one stacked reduction: the
-        # top `num_steps` rows accumulate the compute bin, the bottom rows
-        # the memory bin (only the two GEMMs contribute; zeros elsewhere).
-        bound_terms = np.empty((2 * num_steps, 2 * batch + 1), dtype=np.float64)
-        bound_terms[:num_steps, 0] = token_compute
-        bound_terms[:num_steps, 1::2] = gathered[table.COMP_SCORES]
-        bound_terms[:num_steps, 2::2] = gathered[table.COMP_CONTEXT]
-        bound_terms[num_steps:, 0] = token_memory
-        bound_terms[num_steps:, 1::2] = gathered[table.MEM_SCORES]
-        bound_terms[num_steps:, 2::2] = gathered[table.MEM_CONTEXT]
-        bound_times = bound_terms.cumsum(axis=1)[:, -1] * num_layers
-        compute_times = bound_times[:num_steps]
-        memory_times = bound_times[num_steps:]
-
-        communication_time = (
-            self._layer_comm_time(model, batch, tensor_parallel, precision) * num_layers
-        )
+        # terms[bin, s] is [token-kernel sum, zeros, then each request's
+        # scores, context and softmax terms], flattened into one sequential
+        # sum per bin and step: the order the scalar loop walks layer_ops in.
+        # The gather takes request i's terms in step s at KV length
+        # kv[i] + s; clipping sends every length below 0 to row 0, which
+        # prices every length below 1 (never a row from the table's end).
+        terms = np.zeros((3, num_steps, batch + 1, attention.shape[2]), dtype=np.float64)
+        terms[:, :, 0, 0] = token_terms[:, None]
+        kv_matrix = kv + np.arange(num_steps, dtype=np.int64)[:, None]
+        np.take(attention, kv_matrix, axis=1, out=terms[:, :, 1:], mode="clip")
+        sums = terms.reshape(3, num_steps, -1).cumsum(axis=2)[:, :, -1] * num_layers
         if include_lm_head:
-            head_device, head_time, head_is_compute = self._head_terms(
-                model, batch, tensor_parallel, precision
-            )
-            device_times = device_times + head_device
-            if head_is_compute:
-                compute_times = compute_times + head_time
-            else:
-                memory_times = memory_times + head_time
+            sums += self._cover(tables.lm_head, batch + 1, self._lm_head_terms, template)[:, batch, None]
+        device_times, compute_times, memory_times = sums
+        communication_time = self._layer_collective_time(tables, batch, tensor_parallel) * num_layers
         return DecodeRun(
             device_times=device_times,
             communication_time=communication_time,

@@ -175,10 +175,12 @@ class GemmBatch:
             return np.broadcast_to(arr, (size,)).copy() if arr.ndim == 0 else arr
 
         if isinstance(precision, (Precision, str)):
-            precisions = (Precision.parse(precision),) * size
+            parsed = Precision.parse(precision)
+            precisions = (parsed,) * size
+            element_bytes = np.full(size, parsed.bytes_per_element, dtype=np.float64)
         else:
             precisions = tuple(Precision.parse(p) for p in precision)
-        element_bytes = np.array([p.bytes_per_element for p in precisions], dtype=np.float64)
+            element_bytes = np.array([p.bytes_per_element for p in precisions], dtype=np.float64)
         return cls(
             m=m_arr,
             n=_broadcast(n, np.float64),
@@ -327,9 +329,12 @@ class BatchedGemmTimeModel:
 
     def compute_times(self, batch: GemmBatch) -> np.ndarray:
         """Pure compute time per row (no memory effects)."""
+        precisions = batch.precisions
+        if precisions and precisions.count(precisions[0]) == len(precisions):
+            return batch.flops / self.accelerator.sustained_flops(precisions[0])
         throughput = np.empty(len(batch), dtype=np.float64)
-        for precision in set(batch.precisions):
-            mask = np.array([p is precision for p in batch.precisions], dtype=bool)
+        for precision in set(precisions):
+            mask = np.array([p is precision for p in precisions], dtype=bool)
             throughput[mask] = self.accelerator.sustained_flops(precision)
         return batch.flops / throughput
 
@@ -401,9 +406,10 @@ class BatchedGemmTimeModel:
             np.where(slowest_index == dram_index, BOUND_MEMORY, BOUND_CACHE),
         ).astype(np.int8)
         level_name_by_index = [level.name for level in levels]
-        bound_levels = tuple(
-            "" if compute_bound[row] else level_name_by_index[int(slowest_index[row])] for row in range(size)
-        )
+        # Compute-bound rows take the trailing "" (a row that is not compute
+        # bound always has a slowest level).
+        bound_names = np.array([*level_name_by_index, ""], dtype=object)
+        bound_levels = tuple(bound_names[np.where(compute_bound, len(levels), slowest_index)])
         return BatchedRooflineResult(
             names=batch.names,
             flops=batch.flops,

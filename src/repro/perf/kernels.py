@@ -71,15 +71,21 @@ class MemoryBoundKernelModel:
         return self._evaluation_cache.put(op, point)
 
     def evaluate_times(self, ops: Sequence[Operator]) -> np.ndarray:
-        """``[self.evaluate(op).time for op in ops]`` in one vectorized pass.
+        """``[self.evaluate(op).time for op in ops]`` in one vectorized pass (see :meth:`evaluate_columns`)."""
+        return self.evaluate_columns(
+            np.array([op.flops for op in ops], dtype=np.float64),
+            np.array([op.bytes_total for op in ops], dtype=np.float64),
+        )
+
+    def evaluate_columns(self, flops: np.ndarray, bytes_total: np.ndarray) -> np.ndarray:
+        """Kernel times of memory-bound kernels given as ``float64`` flops and bytes columns.
 
         The same divisions, zero guards and max as :meth:`evaluate`, so every
-        entry equals the scalar time bit for bit.  Nothing is memoized.
+        entry equals the scalar time of a kernel with those flops and bytes
+        bit for bit.  Nothing is memoized.
         """
         dram = self.accelerator.memory.dram
         bandwidth = dram.bandwidth * self.dram_utilization
-        flops = np.array([op.flops for op in ops], dtype=np.float64)
-        bytes_total = np.array([op.bytes_total for op in ops], dtype=np.float64)
         compute_times = np.divide(
             flops, self.accelerator.compute.vector_throughput, out=np.zeros_like(flops), where=flops > 0
         )

@@ -643,9 +643,9 @@ def engine_for(system: SystemSpec) -> PerformancePredictionEngine:
 
     Reusing the engine also reuses its memoized kernel and collective models
     and its shared :class:`~repro.core.stepcost.StepCostModel` -- including
-    the per-KV-length attention time tables the epoch-fused serving loop
-    prices decode runs from -- which is where most of a sweep's repeated
-    work is saved.  Serving scenarios in particular run warm from the second
+    the length-indexed step tables the serving loop prices prefill steps
+    and decode runs from -- which is where most of a sweep's repeated work
+    is saved.  Serving scenarios in particular run warm from the second
     frontier point on (verified by ``tests/sweep/test_serving_cache.py``
     through the step-cost model's ``cache_hits`` counter).  Equal (not just
     identical) specs share one engine.

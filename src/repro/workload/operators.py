@@ -8,12 +8,18 @@ must move to/from memory, which is exactly what the roofline model needs.
 
 All sizes are *logical* (per device, after parallelization has been applied
 by the mapper); the descriptors themselves are agnostic of parallelism.
+
+The ``*Columns`` tuples at the end describe one operator at many sizes at
+once, with integer arrays in place of its size fields, for the batched
+pricing backends.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import types
+from typing import Any, NamedTuple
 
 from ..errors import ConfigurationError
 from ..hardware.datatypes import Precision
@@ -346,3 +352,65 @@ class CommunicationOp(Operator):
     def is_trivial(self) -> bool:
         """A collective over one device (or no data) costs nothing."""
         return self.group_size <= 1 or self.data_bytes == 0
+
+
+# ---------------------------------------------------------------------------
+# Column views: one operator at many sizes.
+# ---------------------------------------------------------------------------
+
+
+class GemmColumns(NamedTuple):
+    """A :class:`GEMM` at many shapes; each dimension is an integer or an integer array."""
+
+    name: str
+    precision: Precision
+    m: Any
+    n: Any
+    k: Any
+    batch: Any = 1
+    weight_operand: bool = False
+    accumulate: bool = False
+
+
+class StreamColumns(NamedTuple):
+    """A memory-bound kernel at many sizes: its flops and bytes, one entry per size."""
+
+    name: str
+    flops: Any
+    bytes_read: Any
+    bytes_written: Any
+
+    @property
+    def bytes_total(self) -> Any:
+        """Total memory traffic per size, summed like :attr:`Operator.bytes_total`."""
+        return self.bytes_read + self.bytes_written
+
+
+class CollectiveColumns(NamedTuple):
+    """A :class:`CommunicationOp` at many payload sizes."""
+
+    name: str
+    collective: CollectiveKind
+    data_bytes: Any
+    group_size: int
+    scope: str
+
+
+def operator_columns(op_type: type, **fields: Any):
+    """The column view of ``op_type(**fields)`` whose size fields are integer arrays.
+
+    GEMMs and collectives keep their fields.  A memory-bound kernel's flops
+    and bytes come from running its class's own property code on the array
+    fields, so every entry equals what the property returns at that size
+    (integer sizes are exact in float64 below ``2**53``).
+    """
+    if op_type is GEMM:
+        return GemmColumns(**fields)
+    if op_type is CommunicationOp:
+        return CollectiveColumns(**fields)
+    values = {field.name: field.default for field in dataclasses.fields(op_type)}
+    values.update(fields)
+    view = types.SimpleNamespace(**values)
+    return StreamColumns(
+        fields["name"], op_type.flops.fget(view), op_type.bytes_read.fget(view), op_type.bytes_written.fget(view)
+    )

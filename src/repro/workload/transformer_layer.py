@@ -22,6 +22,11 @@ memos, and assembles every operator list from the two.  Its owners (the
 step-cost and training models, the sweep planner) keep one template per
 configuration in their own memo; there is no process-wide registry.
 
+The same builders also render each group at many sizes at once: the
+``*_columns`` views pass integer arrays through the operator code and return
+column tuples (:class:`~repro.workload.operators.GemmColumns`, ...) instead of
+operators, which is what the step-cost model's length-indexed tables price.
+
 Naming of the GEMMs follows the paper's Table 4:
 
 =====================  =========================================
@@ -37,7 +42,7 @@ Naming of the GEMMs follows the paper's Table 4:
 from __future__ import annotations
 
 import dataclasses
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
 from ..caching import Memo
 from ..errors import ConfigurationError
@@ -51,6 +56,7 @@ from .operators import (
     MemoryOp,
     NormalizationOp,
     Operator,
+    operator_columns,
 )
 
 #: Arithmetic cost per element assumed for the common pointwise kernels.
@@ -188,8 +194,19 @@ def backward_gemms(gemm: GEMM) -> Tuple[GEMM, GEMM]:
     )
 
 
-def _weight_gemm(name: str, precision: Precision, tokens: int, n: int, k: int) -> GEMM:
-    return GEMM(
+#: How the builders render an operator: ``build(op_type, **fields)`` returns
+#: the operator itself (:func:`_construct`) or its column view
+#: (:func:`~repro.workload.operators.operator_columns`).
+Build = Callable[..., Any]
+
+
+def _construct(op_type: type, **fields: Any) -> Operator:
+    return op_type(**fields)
+
+
+def _weight_gemm(build: Build, name: str, precision: Precision, tokens: int, n: int, k: int) -> GEMM:
+    return build(
+        GEMM,
         name=name,
         precision=precision,
         m=tokens,
@@ -199,8 +216,9 @@ def _weight_gemm(name: str, precision: Precision, tokens: int, n: int, k: int) -
     )
 
 
-def _layernorm(name: str, precision: Precision, elements: int) -> NormalizationOp:
-    return NormalizationOp(
+def _layernorm(build: Build, name: str, precision: Precision, elements: int) -> NormalizationOp:
+    return build(
+        NormalizationOp,
         name=name,
         precision=precision,
         num_elements=elements,
@@ -209,8 +227,9 @@ def _layernorm(name: str, precision: Precision, elements: int) -> NormalizationO
     )
 
 
-def _residual(name: str, precision: Precision, elements: int) -> ElementwiseOp:
-    return ElementwiseOp(
+def _residual(build: Build, name: str, precision: Precision, elements: int) -> ElementwiseOp:
+    return build(
+        ElementwiseOp,
         name=name,
         precision=precision,
         num_elements=elements,
@@ -219,8 +238,9 @@ def _residual(name: str, precision: Precision, elements: int) -> ElementwiseOp:
     )
 
 
-def _dropout(name: str, precision: Precision, elements: int) -> ElementwiseOp:
-    return ElementwiseOp(
+def _dropout(build: Build, name: str, precision: Precision, elements: int) -> ElementwiseOp:
+    return build(
+        ElementwiseOp,
         name=name,
         precision=precision,
         num_elements=elements,
@@ -372,33 +392,7 @@ class LayerTemplate:
         key = (tokens, scope)
         ops = self._collectives.get(key)
         if ops is None:
-            if self.sequence_parallel:
-                collectives = (
-                    ("attention_reduce_scatter", CollectiveKind.REDUCE_SCATTER),
-                    ("attention_all_gather", CollectiveKind.ALL_GATHER),
-                    ("mlp_reduce_scatter", CollectiveKind.REDUCE_SCATTER),
-                    ("mlp_all_gather", CollectiveKind.ALL_GATHER),
-                )
-            else:
-                collectives = (
-                    ("attention_all_reduce", CollectiveKind.ALL_REDUCE),
-                    ("mlp_all_reduce", CollectiveKind.ALL_REDUCE),
-                )
-            payload = tokens * self.model.hidden_size * self.precision.bytes_per_element
-            ops = self._collectives.put(
-                key,
-                tuple(
-                    CommunicationOp(
-                        name=name + suffix,
-                        collective=collective,
-                        data_bytes=payload,
-                        group_size=self.tensor_parallel,
-                        scope=scope,
-                    )
-                    for suffix in ("", "_bwd")
-                    for name, collective in collectives
-                ),
-            )
+            ops = self._collectives.put(key, self._build_collectives(tokens, scope, _construct))
         return ops
 
     def forward_communication(self, tokens: int, scope: str = "intra_node") -> Tuple[CommunicationOp, ...]:
@@ -415,16 +409,7 @@ class LayerTemplate:
         """The logits GEMM over ``tokens`` query tokens, its vocabulary sharded over the TP group."""
         head = self._heads.get(tokens)
         if head is None:
-            head = self._heads.put(
-                tokens,
-                _weight_gemm(
-                    "lm_head",
-                    self.precision,
-                    tokens,
-                    n=max(1, self.model.vocab_size // self.tensor_parallel),
-                    k=self.model.hidden_size,
-                ),
-            )
+            head = self._heads.put(tokens, self._build_lm_head(tokens, _construct))
         return head
 
     # -- the step-cost model's views -----------------------------------------------------
@@ -442,13 +427,30 @@ class LayerTemplate:
         """One request's attention core (micro-batch 1): scores, context, then softmax."""
         return self._shape(1, seq_len, kv_len).step_order
 
-    def has_token_ops(self, tokens: int) -> bool:
-        """Whether the operators of ``tokens`` are already built."""
-        return tokens in self._tokens
+    # -- the step-cost model's column views ----------------------------------------------
+    #
+    # Each takes integer arrays (one entry per size) and returns the matching
+    # operator view's kernels as column tuples, in the same order.  The
+    # sizes are not validated: callers pass positive lengths only.
 
-    def has_attention_ops(self, seq_len: int, kv_len: int) -> bool:
-        """Whether one request's attention core (micro-batch 1) is already built."""
-        return (1, seq_len, kv_len or seq_len) in self._shapes
+    def step_token_columns(self, tokens: Any) -> Tuple[Any, ...]:
+        """:meth:`step_token_ops` at every token count of ``tokens``."""
+        return self._build_token_ops(tokens, operator_columns).step_order
+
+    def step_attention_columns(self, seq_len: Any, kv_len: Any) -> Tuple[Any, ...]:
+        """:meth:`step_attention_ops` at every ``(seq_len, kv_len)`` entry pair."""
+        return self._build_shape(1, seq_len, kv_len, operator_columns).step_order
+
+    def lm_head_columns(self, tokens: Any) -> Any:
+        """:meth:`lm_head` at every logits-row count of ``tokens``."""
+        return self._build_lm_head(tokens, operator_columns)
+
+    def forward_communication_columns(self, tokens: Any, scope: str = "intra_node") -> Tuple[Any, ...]:
+        """:meth:`forward_communication` at every token count of ``tokens``."""
+        if self.tensor_parallel <= 1:
+            return ()
+        ops = self._build_collectives(tokens, scope, operator_columns)
+        return ops[: len(ops) // 2]
 
     # -- the two operator groups -----------------------------------------------------------
 
@@ -456,22 +458,63 @@ class LayerTemplate:
         key = (micro_batch, seq_len, kv_len or seq_len)
         shape = self._shapes.get(key)
         if shape is None:
-            shape = self._shapes.put(key, self._build_shape(*key))
+            _check_shape(micro_batch, seq_len)
+            shape = self._shapes.put(key, self._build_shape(*key, _construct))
         return shape
 
     def _token_ops(self, tokens: int) -> _TokenOps:
         ops = self._tokens.get(tokens)
         if ops is None:
-            ops = self._tokens.put(tokens, self._build_token_ops(tokens))
+            _check_shape(1, tokens)
+            ops = self._tokens.put(tokens, self._build_token_ops(tokens, _construct))
         return ops
 
-    def _build_shape(self, micro_batch: int, seq_len: int, kv_len: int) -> _ShapeOps:
-        _check_shape(micro_batch, seq_len)
+    # -- the builders: every operator of the layer, rendered by ``build`` ----------------------
+
+    def _build_collectives(self, tokens: int, scope: str, build: Build) -> Tuple[CommunicationOp, ...]:
+        if self.sequence_parallel:
+            collectives = (
+                ("attention_reduce_scatter", CollectiveKind.REDUCE_SCATTER),
+                ("attention_all_gather", CollectiveKind.ALL_GATHER),
+                ("mlp_reduce_scatter", CollectiveKind.REDUCE_SCATTER),
+                ("mlp_all_gather", CollectiveKind.ALL_GATHER),
+            )
+        else:
+            collectives = (
+                ("attention_all_reduce", CollectiveKind.ALL_REDUCE),
+                ("mlp_all_reduce", CollectiveKind.ALL_REDUCE),
+            )
+        payload = tokens * self.model.hidden_size * self.precision.bytes_per_element
+        return tuple(
+            build(
+                CommunicationOp,
+                name=name + suffix,
+                collective=collective,
+                data_bytes=payload,
+                group_size=self.tensor_parallel,
+                scope=scope,
+            )
+            for suffix in ("", "_bwd")
+            for name, collective in collectives
+        )
+
+    def _build_lm_head(self, tokens: int, build: Build) -> GEMM:
+        return _weight_gemm(
+            build,
+            "lm_head",
+            self.precision,
+            tokens,
+            n=max(1, self.model.vocab_size // self.tensor_parallel),
+            k=self.model.hidden_size,
+        )
+
+    def _build_shape(self, micro_batch: int, seq_len: int, kv_len: int, build: Build) -> _ShapeOps:
         precision = self.precision
         batch = micro_batch * self.heads_per_device
         score_elements = batch * seq_len * kv_len
         pointwise: List[Operator] = [
-            NormalizationOp(
+            build(
+                NormalizationOp,
                 name="attention_softmax",
                 precision=precision,
                 num_elements=score_elements,
@@ -480,9 +523,10 @@ class LayerTemplate:
             )
         ]
         if self.with_dropout:
-            pointwise.append(_dropout("attention_dropout", precision, score_elements))
+            pointwise.append(_dropout(build, "attention_dropout", precision, score_elements))
         return _ShapeOps(
-            scores=GEMM(
+            scores=build(
+                GEMM,
                 name="attention_scores",
                 precision=precision,
                 m=seq_len,
@@ -491,7 +535,8 @@ class LayerTemplate:
                 batch=batch,
             ),
             pointwise=tuple(pointwise),
-            context=GEMM(
+            context=build(
+                GEMM,
                 name="attention_context",
                 precision=precision,
                 m=seq_len,
@@ -501,15 +546,15 @@ class LayerTemplate:
             ),
         )
 
-    def _build_token_ops(self, tokens: int) -> _TokenOps:
-        _check_shape(1, tokens)
+    def _build_token_ops(self, tokens: int, build: Build) -> _TokenOps:
         model = self.model
         precision = self.precision
         norm = self.norm_elements(tokens)
         mlp_elements = tokens * self.ffn_per_device
         if model.mlp_activation is MLPActivation.SWIGLU:
             mlp_inputs = ("mlp_h_to_4h", "mlp_h_to_4h_up")
-            activation = ElementwiseOp(
+            activation = build(
+                ElementwiseOp,
                 name="mlp_silu_mul",
                 precision=precision,
                 num_elements=mlp_elements,
@@ -518,20 +563,23 @@ class LayerTemplate:
             )
         else:
             mlp_inputs = ("mlp_h_to_4h",)
-            activation = ElementwiseOp(
+            activation = build(
+                ElementwiseOp,
                 name="mlp_gelu",
                 precision=precision,
                 num_elements=mlp_elements,
                 flops_per_element=GELU_FLOPS_PER_ELEMENT,
             )
         mlp_gemms = tuple(
-            _weight_gemm(name, precision, tokens, n=self.ffn_per_device, k=model.hidden_size) for name in mlp_inputs
-        ) + (_weight_gemm("mlp_4h_to_h", precision, tokens, n=model.hidden_size, k=self.ffn_per_device),)
+            _weight_gemm(build, name, precision, tokens, n=self.ffn_per_device, k=model.hidden_size)
+            for name in mlp_inputs
+        ) + (_weight_gemm(build, "mlp_4h_to_h", precision, tokens, n=model.hidden_size, k=self.ffn_per_device),)
         kv_cache_append: Tuple[Operator, ...] = ()
         if self.use_kv_cache:
             # Append the freshly computed K/V of the new tokens to the cache.
             kv_cache_append = (
-                MemoryOp(
+                build(
+                    MemoryOp,
                     name="kv_cache_append",
                     precision=precision,
                     bytes_moved=2.0 * tokens * self.kv_heads_per_device * model.head_dim * precision.bytes_per_element,
@@ -541,11 +589,12 @@ class LayerTemplate:
         hidden_dropouts: Tuple[Operator, ...] = ()
         if self.with_dropout:
             hidden_dropouts = (
-                _dropout("attention_output_dropout", precision, norm),
-                _dropout("mlp_output_dropout", precision, norm),
+                _dropout(build, "attention_output_dropout", precision, norm),
+                _dropout(build, "mlp_output_dropout", precision, norm),
             )
-        input_layernorm = _layernorm("input_layernorm", precision, norm)
+        input_layernorm = _layernorm(build, "input_layernorm", precision, norm)
         qkv_projection = _weight_gemm(
+            build,
             "qkv_projection",
             precision,
             tokens,
@@ -553,11 +602,11 @@ class LayerTemplate:
             k=model.hidden_size,
         )
         attention_output = _weight_gemm(
-            "attention_output", precision, tokens, n=model.hidden_size, k=self.hidden_per_device
+            build, "attention_output", precision, tokens, n=model.hidden_size, k=self.hidden_per_device
         )
-        post_attention_layernorm = _layernorm("post_attention_layernorm", precision, norm)
-        attention_residual_add = _residual("attention_residual_add", precision, norm)
-        mlp_residual_add = _residual("mlp_residual_add", precision, norm)
+        post_attention_layernorm = _layernorm(build, "post_attention_layernorm", precision, norm)
+        attention_residual_add = _residual(build, "attention_residual_add", precision, norm)
+        mlp_residual_add = _residual(build, "mlp_residual_add", precision, norm)
         return _TokenOps(
             input_layernorm=input_layernorm,
             qkv_projection=qkv_projection,

@@ -1,8 +1,13 @@
 """Tests for the step-cost layer (prefill / decode steps over mixed batches)."""
 
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.core.stepcost import StepCost, StepCostModel, ZERO_STEP
+from repro.errors import ConfigurationError
 from repro.hardware.cluster import build_system
 from repro.hardware.datatypes import Precision
 from repro.models.zoo import get_model
@@ -214,3 +219,167 @@ def test_templates_live_with_their_step_cost_model(system, model):
     # Steps of one model share the template and its operator groups.
     assert fresh._token_ops(model, 96, 1, Precision.FP16) is template.step_token_ops(96)
     assert len(StepCostModel(system=system)._templates) == 0
+
+
+# -- table-priced prefill and shared tables ----------------------------------------------
+
+def _scalar_prefill(step_cost, model, prompt_lens, tensor_parallel=1, precision=Precision.FP16, include_lm_head=True):
+    """The reference: _price_step over the template's operators in step order."""
+    template = step_cost.template(model, tensor_parallel, precision)
+    ops = list(template.step_token_ops(sum(prompt_lens)))
+    for length in prompt_lens:
+        ops.extend(template.step_attention_ops(length, length))
+    return step_cost._price_step(
+        model,
+        ops,
+        tensor_parallel,
+        precision,
+        num_requests=len(prompt_lens),
+        tokens=sum(prompt_lens),
+        include_lm_head=include_lm_head,
+    )
+
+
+_PREFILL_CONFIGS = (
+    {},
+    {"tensor_parallel": 4},
+    {"tensor_parallel": 16, "precision": Precision.FP8},
+    {"include_lm_head": False},
+)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_prefill_step_equals_scalar_pricing(system, model, warm):
+    rng = random.Random(3)
+    shared = StepCostModel(system=system)
+    for _ in range(8):
+        prompt_lens = [rng.randint(1, 2500) for _ in range(rng.randint(1, 12))]
+        for kwargs in _PREFILL_CONFIGS:
+            # Cold: a fresh model grows its tables from empty on this step.
+            step_cost = shared if warm else StepCostModel(system=system)
+            assert step_cost.prefill_step(model, prompt_lens, **kwargs) == _scalar_prefill(
+                step_cost, model, prompt_lens, **kwargs
+            )
+
+
+@pytest.mark.parametrize("prompt_lens", [[0], [-3], [17, 0]])
+def test_prefill_step_rejects_non_positive_prompts(step_cost, model, prompt_lens):
+    with pytest.raises(ConfigurationError, match="micro_batch and seq_len must be positive"):
+        step_cost.prefill_step(model, prompt_lens)
+
+
+def test_decode_run_prices_lengths_below_one_as_one(step_cost, model):
+    # decode_step prices every KV length below 1 as 1; a negative length must
+    # not index the table from its end.
+    _assert_run_matches_steps(step_cost, model, [-3, 0, 2], 5)
+
+
+def test_cache_counters_count_table_lookups(system, model):
+    probe = StepCostModel(system=system)
+    probe.prefill_step(model, [100, 200])  # attention, tokens, lm head: all grown
+    assert (probe.cache_hits, probe.cache_misses) == (0, 3)
+    probe.prefill_step(model, [50])  # all three covered
+    assert (probe.cache_hits, probe.cache_misses) == (3, 3)
+    probe.decode_run(model, [100, 200], 8, tensor_parallel=4)  # a new configuration, with collectives
+    assert (probe.cache_hits, probe.cache_misses) == (3, 7)
+    probe.decode_run(model, [100, 200], 8, tensor_parallel=4)
+    assert (probe.cache_hits, probe.cache_misses) == (7, 7)
+
+
+def test_table_growth_is_bounded_by_the_demand(system, model):
+    probe = StepCostModel(system=system)
+    probe.prefill_step(model, [4096])
+    tables = probe._step_tables(model, 1, Precision.FP16)
+    assert tables.prefill_attention.high == 4097
+    assert tables.tokens.high == 4097
+    probe.prefill_step(model, [4096] * 16)  # 65,536 tokens
+    assert tables.tokens.high == 65_537
+    probe.prefill_step(model, [4096] * 16 + [1])
+    assert tables.tokens.high == 2 * 65_537
+
+
+def _thread_jobs(rng, configs, longest):
+    """One seeded prefill or decode call per entry of ``configs``, as (method, args, kwargs)."""
+    jobs = []
+    for model, kwargs in configs:
+        kind = rng.randrange(3)
+        if kind == 0:
+            prompt_lens = [rng.randint(1, longest) for _ in range(rng.randint(1, 16))]
+            jobs.append(("prefill_step", (model, prompt_lens), kwargs))
+        elif kind == 1:
+            kv_lens = [rng.randint(0, longest) for _ in range(rng.randint(1, 32))]
+            jobs.append(("decode_run", (model, kv_lens, rng.randint(1, 300)), kwargs))
+        else:
+            kv_lens = [rng.randint(0, longest) for _ in range(rng.randint(1, 8))]
+            jobs.append(("decode_step", (model, kv_lens), kwargs))
+    return jobs
+
+
+def _outcome(result):
+    if isinstance(result, StepCost):
+        return result
+    return result.step_costs(), result.total_times.tolist()
+
+
+def _run_threads(step_cost, job_lists):
+    results = [None] * len(job_lists)
+    errors = []
+    barrier = threading.Barrier(len(job_lists))
+
+    def work(index):
+        try:
+            barrier.wait()
+            results[index] = [
+                _outcome(getattr(step_cost, method)(*args, **kwargs)) for method, args, kwargs in job_lists[index]
+            ]
+        except Exception as error:  # reported by the caller
+            errors.append(error)
+
+    threads = [threading.Thread(target=work, args=(index,)) for index in range(len(job_lists))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return results, errors
+
+
+def _assert_threads_match_serial(system, job_lists):
+    shared = StepCostModel(system=system)
+    results, errors = _run_threads(shared, job_lists)
+    assert errors == []
+    serial = StepCostModel(system=system)
+    for jobs, got in zip(job_lists, results):
+        assert got == [_outcome(getattr(serial, method)(*args, **kwargs)) for method, args, kwargs in jobs]
+    return shared
+
+
+def test_shared_model_prices_exactly_under_threads(system, model):
+    # Eight threads race their table growths on one configuration.
+    job_lists = [_thread_jobs(random.Random(seed), [(model, {})] * 12, longest=2500) for seed in range(8)]
+    shared = _assert_threads_match_serial(system, job_lists)
+    assert len(shared._tables) == 1
+
+
+def test_shared_model_prices_exactly_past_the_configuration_bound(system):
+    # 80 configurations: threads create and evict tables past the bound of 64.
+    configs = [
+        (get_model(name), {"tensor_parallel": tensor_parallel, "precision": precision})
+        for name in ("Llama2-7B", "GPT-7B", "Llama2-70B", "GPT-22B")
+        for tensor_parallel in (1, 2, 4, 8, 16)
+        for precision in (Precision.FP16, Precision.BF16, Precision.FP8, Precision.FP32)
+    ]
+    # Thread i visits 30 of them from the 10 i-th on, so together they
+    # touch all 80 and every configuration races in three threads.
+    job_lists = []
+    for index in range(8):
+        rng = random.Random(100 + index)
+        visits = (configs * 2)[10 * index : 10 * index + 30]
+        job_lists.append(_thread_jobs(rng, rng.sample(visits, len(visits)), longest=300))
+    shared = _assert_threads_match_serial(system, job_lists)
+    assert len(shared._tables) <= 64

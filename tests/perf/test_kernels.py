@@ -1,5 +1,6 @@
 """Tests for memory-bound kernel timing and the device dispatcher."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -74,6 +75,12 @@ def test_vectorized_times_equal_evaluate_bit_for_bit(memory_model):
     times = memory_model.evaluate_times(ops)
     assert times.tolist() == [memory_model.evaluate(op).time for op in ops]
     assert memory_model.evaluate_times([]).shape == (0,)
+    # The column entry point evaluate_times runs on: the same numbers from
+    # bare flops and bytes columns.
+    flops = np.array([op.flops for op in ops], dtype=np.float64)
+    bytes_total = np.array([op.bytes_total for op in ops], dtype=np.float64)
+    assert memory_model.evaluate_columns(flops, bytes_total).tolist() == times.tolist()
+    assert memory_model.evaluate_columns(flops[:0], bytes_total[:0]).shape == (0,)
 
 
 def test_device_model_dispatches_gemm_and_others(device_model):

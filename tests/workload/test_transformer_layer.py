@@ -1,10 +1,12 @@
 """Tests for the per-layer operator templates (Megatron TP sharding)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.hardware.datatypes import Precision
-from repro.workload.operators import CollectiveKind, GEMM
+from repro.models.transformer import MLPActivation, TransformerConfig
+from repro.workload.operators import CollectiveColumns, CollectiveKind, GEMM, GemmColumns
 from repro.workload.transformer_layer import LayerExecutionSpec, LayerTemplate
 
 
@@ -166,3 +168,77 @@ def test_backward_communication_mirrors_forward(tiny_model):
     assert len(fwd) == len(bwd)
     assert sum(op.data_bytes for op in fwd) == pytest.approx(sum(op.data_bytes for op in bwd))
     assert template.communication(256) == fwd + bwd
+
+
+# -- column views ------------------------------------------------------------------------
+
+#: Token counts and lengths the column views are checked at, small and large.
+_SIZES = np.array([*range(1, 100), 255, 256, 257, 511, 512, 513, 2048, 4096, 12_345, 65_536], dtype=np.int64)
+
+
+def _odd_ffn_model():
+    """SwiGLU with 2 KV heads and an FFN width and vocabulary TP 8 does not divide."""
+    return TransformerConfig(
+        name="odd-ffn",
+        num_layers=2,
+        hidden_size=512,
+        num_heads=8,
+        num_kv_heads=2,
+        ffn_hidden_size=1000,
+        vocab_size=32001,
+        max_seq_len=256,
+        mlp_activation=MLPActivation.SWIGLU,
+    )
+
+
+def _column_templates(tiny_model, tiny_swiglu_model):
+    serving = dict(with_dropout=False, use_kv_cache=True)
+    return [
+        _template(tiny_model, **serving),  # GELU, MHA
+        _template(tiny_swiglu_model, tp=4, **serving),  # SwiGLU, GQA
+        _template(_odd_ffn_model(), tp=8, **serving),
+        _template(tiny_swiglu_model, tp=2, precision=Precision.FP8, **serving),
+        _template(tiny_model, tp=2, sp=True),  # training: dropouts, sharded norms
+    ]
+
+
+def _entry(values, index):
+    return np.broadcast_to(values, _SIZES.shape)[index]
+
+
+def _assert_entry_equals(columns, ops, index):
+    """Entry ``index`` of every column kernel equals the matching operator, field by field."""
+    assert [column.name for column in columns] == [op.name for op in ops]
+    for column, op in zip(columns, ops):
+        if isinstance(column, GemmColumns):
+            assert isinstance(op, GEMM)
+            assert [_entry(getattr(column, field), index) for field in ("m", "n", "k", "batch")] == list(op.shape)
+            assert (column.precision, column.weight_operand, column.accumulate) == (
+                op.precision,
+                op.weight_operand,
+                op.accumulate,
+            )
+        elif isinstance(column, CollectiveColumns):
+            assert _entry(column.data_bytes, index) == op.data_bytes
+            assert (column.collective, column.group_size, column.scope) == (op.collective, op.group_size, op.scope)
+        else:
+            for field in ("flops", "bytes_read", "bytes_written", "bytes_total"):
+                assert _entry(getattr(column, field), index) == getattr(op, field), (op.name, field)
+
+
+def test_column_views_equal_operator_views(tiny_model, tiny_swiglu_model):
+    for template in _column_templates(tiny_model, tiny_swiglu_model):
+        token_columns = template.step_token_columns(_SIZES)
+        decode_columns = template.step_attention_columns(1, _SIZES)
+        prefill_columns = template.step_attention_columns(_SIZES, _SIZES)
+        head_columns = template.lm_head_columns(_SIZES)
+        comm_columns = {
+            scope: template.forward_communication_columns(_SIZES, scope) for scope in ("intra_node", "inter_node")
+        }
+        for index, size in enumerate(_SIZES.tolist()):
+            _assert_entry_equals(token_columns, template.step_token_ops(size), index)
+            _assert_entry_equals(decode_columns, template.step_attention_ops(1, size), index)
+            _assert_entry_equals(prefill_columns, template.step_attention_ops(size, size), index)
+            _assert_entry_equals((head_columns,), (template.lm_head(size),), index)
+            for scope, columns in comm_columns.items():
+                _assert_entry_equals(columns, template.forward_communication(size, scope), index)
