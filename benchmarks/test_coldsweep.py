@@ -11,7 +11,8 @@ kv_len`` axes) is priced three ways:
 * **warm** -- the same runner again, everything served from the LRU.
 
 The batched pass must be bit-identical to the cold pass and at least 3x
-faster; the headline scenarios/s numbers land in ``BENCH_coldsweep.json`` at
+faster, comparing the medians of :data:`REPEATS` alternating cold runs per
+side; the headline scenarios/s numbers land in ``BENCH_coldsweep.json`` at
 the repo root so CI can archive the perf trajectory as an artifact.
 """
 
@@ -21,7 +22,7 @@ import json
 import pathlib
 import time
 
-from conftest import emit
+from conftest import alternating_medians, emit
 
 from repro.sweep import Scenario, SweepRunner, clear_engine_cache, expand_grid
 from repro.sweep.batchplan import clear_plan_caches
@@ -33,6 +34,10 @@ _SYSTEM = "A100"
 _MODEL = "Llama2-13B"
 _BATCH_SIZES = (1, 2)
 _KV_LENS = tuple(range(64, 192))  # 2 x 128 = 256 unique scenarios
+
+#: Cold runs per side of the speedup ratio (single runs read 2.74x to 6.84x
+#: on a 2-CPU host).
+REPEATS = 7
 
 
 def _scenarios():
@@ -57,37 +62,27 @@ def _timed_run(runner, scenarios):
     return results, time.perf_counter() - start
 
 
-def _best_cold_run(batch_planning, repeats=3):
-    """Best-of-N genuinely-cold runs (fresh runner and caches each time).
-
-    Each repetition drops every process-level cache, so both paths pay the
-    full cold cost every time; taking the minimum damps load jitter without
-    flattering either side.
-    """
-    best_results, best_seconds, last_runner = None, float("inf"), None
-    for _ in range(repeats):
-        _go_cold()
-        runner = SweepRunner(batch_planning=batch_planning)
-        results, seconds = _timed_run(runner, _scenarios())
-        if seconds < best_seconds:
-            best_results, best_seconds = results, seconds
-        last_runner = runner
-    return best_results, best_seconds, last_runner
+def _cold_run(batch_planning):
+    """One genuinely cold run: fresh runner, every process-level cache dropped."""
+    _go_cold()
+    runner = SweepRunner(batch_planning=batch_planning)
+    results, seconds = _timed_run(runner, _scenarios())
+    return seconds, (results, runner)
 
 
 def test_batched_cold_sweep_beats_scalar_and_stays_bit_identical(benchmark):
     num_scenarios = len(_scenarios())
     assert num_scenarios >= 256
 
-    cold_results, cold_seconds, cold_runner = _best_cold_run(batch_planning=False)
-    assert cold_runner.stats.evaluations == num_scenarios
-
-    def _run_batched():
-        return _best_cold_run(batch_planning=True)
-
-    batched_results, batched_seconds, batched_runner = benchmark.pedantic(
-        _run_batched, rounds=1, iterations=1
+    (cold_seconds, cold), (batched_seconds, batched) = benchmark.pedantic(
+        alternating_medians,
+        args=(REPEATS, lambda: _cold_run(False), lambda: _cold_run(True)),
+        rounds=1,
+        iterations=1,
     )
+    cold_results, cold_runner = cold
+    batched_results, batched_runner = batched
+    assert cold_runner.stats.evaluations == num_scenarios
     assert batched_runner.stats.evaluations == num_scenarios
     assert batched_runner.stats.batched_scenarios == num_scenarios
 
@@ -101,6 +96,7 @@ def test_batched_cold_sweep_beats_scalar_and_stays_bit_identical(benchmark):
         "system": _SYSTEM,
         "model": _MODEL,
         "num_scenarios": num_scenarios,
+        "repeats": REPEATS,
         "cold_seconds": cold_seconds,
         "batched_cold_seconds": batched_seconds,
         "warm_seconds": warm_seconds,
@@ -113,7 +109,8 @@ def test_batched_cold_sweep_beats_scalar_and_stays_bit_identical(benchmark):
     BENCH_COLDSWEEP_PATH.write_text(json.dumps(record, indent=2) + "\n")
 
     emit(
-        f"cold sweep: {num_scenarios} decode-bottleneck scenarios ({_MODEL} on {_SYSTEM})\n"
+        f"cold sweep: {num_scenarios} decode-bottleneck scenarios ({_MODEL} on {_SYSTEM}), "
+        f"medians of {REPEATS} alternating cold runs\n"
         f"  cold, per-scenario loop : {cold_seconds * 1e3:8.1f} ms "
         f"({record['cold_scenarios_per_s']:8.0f} scenarios/s)\n"
         f"  cold, batched planner   : {batched_seconds * 1e3:8.1f} ms "

@@ -8,8 +8,7 @@ Subcommands:
   document ``repro run`` accepts); start from this to define custom sweeps.
 * ``repro run <study-or-spec.json>`` -- execute a registered study or a spec
   file: streams per-scenario progress to stderr, prints the result table,
-  and exports ``--csv`` / ``--json``.  ``--executor process`` shards the
-  evaluations across worker processes; study builder keywords pass as
+  and exports ``--csv`` / ``--json``.  Study builder keywords pass as
   ``-p name=value``.
   Results persist to the on-disk store (``~/.cache/repro`` or
   ``$REPRO_CACHE_DIR``) so re-running a study prices nothing; point
@@ -29,7 +28,7 @@ Examples::
     python -m repro list
     python -m repro run table4_gemm_bottlenecks --csv table4.csv
     python -m repro spec table4_gemm_bottlenecks > sweep.json
-    python -m repro run sweep.json --executor process --json out.json
+    python -m repro run sweep.json --json out.json
     python -m repro run serving_latency_throughput_frontier -p num_requests=16
     python -m repro cache stats
     python -m repro serve --port 8642 --workers 2
@@ -47,7 +46,6 @@ from .errors import ReproError
 from .studies import Study, get_study, list_studies
 from .studies.extractors import list_derives, list_extractors
 from .sweep import SweepResult, SweepRunner, SweepTable
-from .sweep.runner import EXECUTORS
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -91,9 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("study", help="registered study name, or a path to a JSON spec")
     run_cmd.add_argument("-p", "--param", action="append", default=[], metavar="NAME=VALUE",
                          help="study builder keyword (registered studies only; repeatable)")
-    run_cmd.add_argument("--executor", choices=EXECUTORS, default="serial",
-                         help="how to evaluate the expanded scenarios (default: serial)")
-    run_cmd.add_argument("--max-workers", type=int, default=None, help="worker count for the process executor")
     run_cmd.add_argument("--cache-dir", default=None, metavar="PATH",
                          help="root of the persistent result store "
                               "(default: ~/.cache/repro, or $REPRO_CACHE_DIR)")
@@ -112,9 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--port", type=int, default=8642, help="bind port (default: 8642; 0 picks a free one)")
     serve_cmd.add_argument("--workers", type=int, default=2,
                            help="concurrent study jobs (default: 2); all share one warm runner")
-    serve_cmd.add_argument("--executor", choices=EXECUTORS, default="serial",
-                           help="how each job evaluates its scenarios (default: serial)")
-    serve_cmd.add_argument("--max-workers", type=int, default=None, help="worker count for the process executor")
     serve_cmd.add_argument("--cache-dir", default=None, metavar="PATH",
                            help="root of the persistent result store "
                                 "(default: ~/.cache/repro, or $REPRO_CACHE_DIR)")
@@ -202,7 +194,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         disk_cache: "str | bool" = False
     else:
         disk_cache = args.cache_dir if args.cache_dir is not None else True
-    runner = SweepRunner(executor=args.executor, max_workers=args.max_workers, disk_cache=disk_cache)
+    runner = SweepRunner(disk_cache=disk_cache)
     total = sum(1 for _ in study.combos())
     progress = None if args.quiet else _Progress(study.name, total)
     started = time.perf_counter()
@@ -217,8 +209,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if progress is not None:
             progress.finish()
         print("interrupted", file=sys.stderr)
-        _print_stats_line(study.name, f"interrupted after {elapsed:.2f}s",
-                          runner, args.executor)
+        _print_stats_line(study.name, f"interrupted after {elapsed:.2f}s", runner)
         if disk_cache is not False:
             print(f"re-run `repro run {args.study}` to resume; completed scenarios "
                   "are priced from the persistent store", file=sys.stderr)
@@ -235,11 +226,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         with open(args.json_out, "w") as handle:
             handle.write(table.to_json(indent=1) + "\n")
         print(f"wrote {args.json_out}", file=sys.stderr)
-    _print_stats_line(study.name, f"{len(table)} rows in {elapsed:.2f}s", runner, args.executor)
+    _print_stats_line(study.name, f"{len(table)} rows in {elapsed:.2f}s", runner)
     return 0
 
 
-def _print_stats_line(name: str, headline: str, runner: SweepRunner, executor: str) -> None:
+def _print_stats_line(name: str, headline: str, runner: SweepRunner) -> None:
     """The closing one-line sweep summary on stderr (shared with the interrupt path)."""
     stats = runner.stats.snapshot()
     print(
@@ -248,8 +239,7 @@ def _print_stats_line(name: str, headline: str, runner: SweepRunner, executor: s
         f"{stats['disk_hits']} disk hits, {stats['batched_scenarios']} batched, "
         f"{stats['errors']} errors, "
         f"key-hash {stats['keyhash_seconds']:.2f}s, plan {stats['plan_seconds']:.2f}s, "
-        f"price {stats['price_seconds']:.2f}s, scatter {stats['scatter_seconds']:.2f}s, "
-        f"executor={executor})",
+        f"price {stats['price_seconds']:.2f}s, scatter {stats['scatter_seconds']:.2f}s)",
         file=sys.stderr,
     )
 
@@ -265,18 +255,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         disk_cache: "str | bool" = False
     else:
         disk_cache = args.cache_dir if args.cache_dir is not None else True
-    registry = build_registry(
-        workers=args.workers,
-        disk_cache=disk_cache,
-        executor=args.executor,
-        max_workers=args.max_workers,
-    )
+    registry = build_registry(workers=args.workers, disk_cache=disk_cache)
     service = StudyService(registry)
     server = make_server(ServiceApi(service), host=args.host, port=args.port)
     host, port = server.server_address[:2]
     print(
         f"repro-serve listening on http://{host}:{port} "
-        f"({args.workers} worker(s), executor={args.executor}; POST /studies to submit)",
+        f"({args.workers} worker(s); POST /studies to submit)",
         file=sys.stderr,
     )
     try:

@@ -5,7 +5,10 @@ Deliberately thin -- every route, status code, and body lives in
 sockets and writes :class:`~repro.service.api.Response` objects back.
 Streaming responses (the NDJSON event feed) are sent close-delimited
 (``Connection: close``) so no chunked-encoding machinery is needed and plain
-``curl``/``urllib`` consume them naturally.
+``curl``/``urllib`` consume them naturally.  The transport also rejects
+bodies it will not read: a ``Content-Length`` that is not a non-negative
+integer gets a 400, one above :data:`MAX_BODY_BYTES` a 413, and either
+closes the connection.
 """
 
 from __future__ import annotations
@@ -15,6 +18,11 @@ from typing import Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from .api import Response, ServiceApi
+
+#: Largest request body the transport reads, in bytes.  The largest
+#: registered study spec serializes to about 1 KB; a longer declared body is
+#: refused before a byte of it is read (or a buffer for it allocated).
+MAX_BODY_BYTES = 1 << 20
 
 
 class _ApiHandler(BaseHTTPRequestHandler):
@@ -35,22 +43,34 @@ class _ApiHandler(BaseHTTPRequestHandler):
     def _handle(self, method: str) -> None:
         split = urlsplit(self.path)
         query = {key: values[-1] for key, values in parse_qs(split.query).items()}
-        body = b""
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > 0:
-            body = self.rfile.read(length)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1  # refused below, like a negative length
+        if length < 0:
+            self._write(Response.error(400, "Content-Length must be a non-negative integer", "BadRequest"), close=True)
+            return
+        if length > MAX_BODY_BYTES:
+            message = f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            self._write(Response.error(413, message, "PayloadTooLarge"), close=True)
+            return
+        body = self.rfile.read(length) if length else b""
         try:
             response = self.server.api.dispatch(method, split.path, body=body, query=query)
         except Exception as error:  # noqa: BLE001 -- one bad request must not kill the thread
             response = Response.error(500, f"{type(error).__name__}: {error}", "InternalError")
         self._write(response)
 
-    def _write(self, response: Response) -> None:
+    def _write(self, response: Response, close: bool = False) -> None:
+        """Send ``response``; ``close`` ends the connection after it (the
+        request's body was left unread, so no further request can follow)."""
         try:
             self.send_response(response.status)
             self.send_header("Content-Type", response.content_type)
             if response.stream is None:
                 self.send_header("Content-Length", str(len(response.body)))
+                if close:
+                    self.send_header("Connection", "close")  # also sets close_connection
                 self.end_headers()
                 if response.body:
                     self.wfile.write(response.body)

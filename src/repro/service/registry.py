@@ -97,8 +97,6 @@ class ServiceRegistry:
 def build_registry(
     workers: int = 2,
     disk_cache: "str | bool | None" = True,
-    executor: str = "serial",
-    max_workers: Optional[int] = None,
     cache_size: int = 65536,
 ) -> ServiceRegistry:
     """Production wiring: a shared warm runner plus in-memory job store.
@@ -108,16 +106,8 @@ def build_registry(
         disk_cache: Passed through to :class:`SweepRunner` -- ``True`` opens
             the default persistent store, a path roots it there, ``False``
             disables it.
-        executor: The *sweep* executor each job evaluates through (its
-            scenarios; not to be confused with service worker threads).
-        max_workers: Worker processes of the ``"process"`` sweep executor.
         cache_size: Runner LRU entries; sized generously because the LRU is
             the cross-request warm state the service exists to keep.
     """
-    runner = SweepRunner(
-        executor=executor,
-        max_workers=max_workers,
-        cache_size=cache_size,
-        disk_cache=disk_cache,
-    )
+    runner = SweepRunner(cache_size=cache_size, disk_cache=disk_cache)
     return ServiceRegistry(runner=runner, workers=workers)

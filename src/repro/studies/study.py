@@ -2,7 +2,7 @@
 
 A :class:`Study` declares *what* to sweep -- a scenario kind, named axes,
 fixed parameters, derived metrics -- and leaves the *how* (deduplication,
-caching, executors, streaming progress) to the shared
+caching, batched pricing, streaming progress) to the shared
 :class:`~repro.sweep.runner.SweepRunner`.  Every paper table/figure and both
 technology-scaling case studies are registered Study declarations (see
 :mod:`repro.studies.paper`); user-defined sweeps use exactly the same
@@ -362,7 +362,6 @@ class Study:
     def execute(
         self,
         runner: Optional[SweepRunner] = None,
-        executor: Optional[str] = None,
         on_result: Optional[Callable[[SweepResult], None]] = None,
         disk_cache: "DiskResultStore | str | bool | None" = None,
     ) -> StudyRun:
@@ -370,10 +369,7 @@ class Study:
 
         Args:
             runner: Runner to evaluate through; defaults to the process-wide
-                shared runner (or a fresh one when ``executor`` or
-                ``disk_cache`` is given).
-            executor: Shorthand for ``SweepRunner(executor=...)`` when no
-                runner is passed.
+                shared runner (or a fresh one when ``disk_cache`` is given).
             on_result: Streaming progress callback, forwarded to
                 :meth:`SweepRunner.run` (fires once per scenario as its
                 result becomes available).
@@ -383,8 +379,8 @@ class Study:
                 when no ``runner`` is passed.
         """
         if runner is None:
-            if executor is not None or disk_cache is not None:
-                runner = SweepRunner(executor=executor or "serial", disk_cache=disk_cache)
+            if disk_cache is not None:
+                runner = SweepRunner(disk_cache=disk_cache)
             else:
                 runner = default_runner()
         combos = list(self.combos())
@@ -406,14 +402,11 @@ class Study:
     def run(
         self,
         runner: Optional[SweepRunner] = None,
-        executor: Optional[str] = None,
         on_result: Optional[Callable[[SweepResult], None]] = None,
         disk_cache: "DiskResultStore | str | bool | None" = None,
     ) -> SweepTable:
         """Run the study and return its result table (see :meth:`execute`)."""
-        return self.execute(
-            runner=runner, executor=executor, on_result=on_result, disk_cache=disk_cache
-        ).table
+        return self.execute(runner=runner, on_result=on_result, disk_cache=disk_cache).table
 
     def _extract_fn(self) -> ExtractFn:
         if self.extract is None:

@@ -1,4 +1,4 @@
-"""Scenario/sweep subsystem: one cached, parallel evaluation pipeline.
+"""Scenario/sweep subsystem: one cached, batched evaluation pipeline.
 
 Public surface:
 
@@ -6,9 +6,8 @@ Public surface:
   evaluation (system + model + parallelism + workload knobs) with a
   canonical cache key.
 * :class:`~repro.sweep.runner.SweepRunner` -- deduplicates, caches, and
-  prices each generation of unique scenarios through the cross-scenario
-  batch planner (:mod:`repro.sweep.batchplan`), in-process (``"serial"``)
-  or sharded across a process pool (``"process"``).
+  prices each generation of unique scenarios in-process through the
+  cross-scenario batch planner (:mod:`repro.sweep.batchplan`).
 * :class:`~repro.sweep.diskstore.DiskResultStore` -- persistent on-disk
   result store (``SweepRunner(disk_cache=...)``), keyed by the scenarios'
   deterministic cache keys plus a code fingerprint.
@@ -20,7 +19,7 @@ Public surface:
   <repro.sweep.runner.SweepRunner.run_table>` and every study.
 """
 
-from .batchplan import BatchTimings, evaluate_pending_batched, evaluate_shard, plan_scenario, price_plans
+from .batchplan import BatchTimings, evaluate_pending_batched, plan_scenario, price_plans
 from .diskstore import DiskResultStore, code_fingerprint, default_cache_root
 from .runner import (
     SweepResult,
@@ -53,7 +52,6 @@ __all__ = [
     "engine_for",
     "evaluate_pending_batched",
     "evaluate_scenario",
-    "evaluate_shard",
     "expand_grid",
     "merge_axis_records",
     "plan_scenario",

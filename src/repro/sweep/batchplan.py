@@ -45,9 +45,6 @@ Scenario kinds without a batchable pricing phase (serving, the memory
 breakdowns, the GEMV validation) are left to the normal
 :func:`evaluate_scenario` path; :func:`evaluate_pending_batched` interleaves
 both so the runner sees one outcome per pending scenario, in input order.
-:func:`evaluate_shard` wraps it as a process-pool entry point, so a pending
-generation can also be sharded across cores (plan + price per shard, merge
-in the parent).
 """
 
 from __future__ import annotations
@@ -67,7 +64,7 @@ from ..perf.batched import BOUND_CACHE, BOUND_COMPUTE, BOUND_MEMORY, BatchedRoof
 from ..perf.gemm import GemmTimeModel
 from ..perf.roofline import BoundType
 from ..workload.operators import GEMM, CommunicationOp
-from .scenario import Scenario, ScenarioKind, apply_test_fault_hooks, engine_for, evaluate_scenario
+from .scenario import Scenario, ScenarioKind, engine_for, evaluate_scenario
 
 #: Bound-code -> enum mapping of the batched backend's result rows.
 _BOUND_TYPES = {BOUND_COMPUTE: BoundType.COMPUTE, BOUND_MEMORY: BoundType.MEMORY, BOUND_CACHE: BoundType.CACHE}
@@ -108,12 +105,6 @@ class BatchTimings:
     plan_seconds: float = 0.0
     price_seconds: float = 0.0
     scatter_seconds: float = 0.0
-
-    def add(self, other: "BatchTimings") -> None:
-        """Accumulate another pass's timings (e.g. across process shards)."""
-        self.plan_seconds += other.plan_seconds
-        self.price_seconds += other.price_seconds
-        self.scatter_seconds += other.scatter_seconds
 
 
 @dataclasses.dataclass
@@ -478,18 +469,3 @@ def evaluate_pending_batched(
             timings.scatter_seconds += _time.perf_counter() - scattered
     return ordered
 
-
-def evaluate_shard(items: Sequence[Tuple[str, Scenario]]) -> Tuple[List[BatchOutcome], BatchTimings]:
-    """Process-pool entry point: batch-evaluate one shard of a generation.
-
-    Takes ``(key, scenario)`` pairs (a :class:`Mapping` does not survive
-    pickling order-stably on all container types, a list of pairs does) and
-    returns the outcomes in input order plus the shard's stage timings.
-    Each worker process plans and prices its shard independently; the parent
-    merges outcomes and accumulates timings, so summed stage seconds across
-    shards can exceed the sweep's wall-clock.
-    """
-    apply_test_fault_hooks([scenario for _, scenario in items])
-    timings = BatchTimings()
-    outcomes = evaluate_pending_batched(dict(items), timings=timings)
-    return outcomes, timings

@@ -27,9 +27,10 @@ Entries are pickles sharded under ``<root>/<fingerprint>/<key[:2]>/<key>.pkl``:
 Robustness
 ----------
 Writes go through a temp file plus :func:`os.replace`, so concurrent writers
-(process-pool sweeps, parallel CI jobs) can race on the same key and readers
-still see only complete records -- last writer wins, and every writer writes
-the same bytes-equal value anyway (deterministic evaluations).  Reads treat
+(separate ``repro run``/``repro serve`` processes, parallel CI jobs) can race
+on the same key and readers still see only complete records -- last writer
+wins, and every writer writes the same bytes-equal value anyway
+(deterministic evaluations).  Reads treat
 *any* failure (truncated pickle, corrupted shard, unreadable file, foreign
 record shape) as a miss: a damaged cache can cost re-pricing, never a crash
 and never a wrong result.

@@ -1,14 +1,12 @@
-"""The sweep runner: deduplicated, cached, optionally parallel evaluation.
+"""The sweep runner: deduplicated, cached evaluation.
 
 ``SweepRunner`` turns a list of :class:`~repro.sweep.scenario.Scenario`
 objects into :class:`SweepResult` rows.  It deduplicates scenarios by their
 canonical cache key, serves repeats from an LRU result cache, and prices the
-remaining unique scenarios through the cross-scenario batch planner, either
-in-process or sharded across a process pool::
+remaining unique scenarios in-process through the cross-scenario batch
+planner::
 
-    runner = SweepRunner()                     # serial, in-process
-    runner = SweepRunner(executor="process")   # one planner shard per CPU
-
+    runner = SweepRunner()
     results = runner.run(scenarios)
     report = runner.evaluate(scenario)         # single scenario, same cache
 
@@ -23,26 +21,18 @@ Grids expand with :func:`expand_grid`::
 from __future__ import annotations
 
 import collections
-import concurrent.futures
 import dataclasses
 import enum
 import itertools
-import os
 import threading
 import time as _time
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from ..errors import ConfigurationError, ReproError
-from .batchplan import BatchTimings, evaluate_pending_batched, evaluate_shard
+from .batchplan import BatchOutcome, BatchTimings, evaluate_pending_batched
 from .diskstore import DiskResultStore
 from .scenario import Scenario, cache_keys, evaluate_scenario
 from .table import SweepTable
-
-#: Executor names accepted by :class:`SweepRunner`.
-EXECUTORS = ("serial", "process")
-
-#: Pool reconstructions after worker crashes before falling back to serial.
-_MAX_POOL_REBUILDS = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,9 +86,7 @@ class SweepStats:
             cross-scenario batch planner (:mod:`repro.sweep.batchplan`)
             rather than one at a time.
         plan_seconds: Cold-path seconds spent building workload graphs
-            (:func:`~repro.sweep.batchplan.plan_scenario`).  Under the
-            process-sharded path the per-stage seconds sum across worker
-            processes, so they can exceed the sweep's wall-clock.
+            (:func:`~repro.sweep.batchplan.plan_scenario`).
         price_seconds: Cold-path seconds spent in the vectorized pricing
             calls (:func:`~repro.sweep.batchplan.price_plans`).
         scatter_seconds: Cold-path seconds spent assembling results (and
@@ -106,10 +94,6 @@ class SweepStats:
             kinds).
         keyhash_seconds: Seconds spent computing scenario cache keys
             (:func:`~repro.sweep.scenario.cache_keys`) in :meth:`run`.
-        pool_rebuilds: Process pools rebuilt after a worker crash
-            (``BrokenProcessPool``); the lost scenarios are re-run.
-        timeouts: Scenarios abandoned by the soft ``scenario_timeout``
-            stall detector and surfaced as captured errors (never cached).
     """
 
     evaluations: int = 0
@@ -121,8 +105,6 @@ class SweepStats:
     price_seconds: float = 0.0
     scatter_seconds: float = 0.0
     keyhash_seconds: float = 0.0
-    pool_rebuilds: int = 0
-    timeouts: int = 0
 
     def snapshot(self) -> Dict[str, object]:
         """Plain-dict view for logs and benchmark extra_info."""
@@ -143,9 +125,6 @@ class SweepRunner:
     """Expands, deduplicates, caches, and executes scenario evaluations.
 
     Attributes:
-        executor: ``"serial"`` or ``"process"`` (the batch planner sharded
-            across worker processes).
-        max_workers: Worker processes (and shards) of the process executor.
         cache_size: Maximum number of cached evaluation results.
         capture_errors: When True, library errors (:class:`ReproError`) are
             recorded on the result row instead of raised -- useful for grids
@@ -162,59 +141,30 @@ class SweepRunner:
         batch_planning: Whether pending generations are priced through the
             cross-scenario batch planner (:mod:`repro.sweep.batchplan`) --
             bit-identical results, one vectorized pricing call per query
-            family per generation instead of per-GEMM Python loops.  The
-            serial executor runs one planning pass in-process; the process
-            executor shards the generation across workers (one plan + price
-            pass per shard, outcomes merged in the parent) and so requires
-            it.  On by default; turn off (serial executor only) to force the
-            one-at-a-time reference path that the cold-sweep benchmark and
-            the bit-identity tests compare against.
-        scenario_timeout: Soft stall detector for the process executor, in
-            seconds per scenario of the largest shard: whenever no shard
-            completes within that window, every scenario still outstanding
-            is surfaced as a captured :class:`ReproError` (counted in
-            :attr:`SweepStats.timeouts`, never cached -- a timeout is
-            environmental, not a property of the scenario) and the sweep
-            moves on.  The abandoned worker is not killed: the pool shuts
-            down without waiting, but the interpreter joins its worker
-            processes at exit, so a stalled evaluation still delays process
-            exit until it finishes (on a 2-CPU host a 10 s stall kept a
-            0.23 s sweep's process alive for 10.6 s).  ``None`` (the
-            default) waits indefinitely; ignored by the serial executor.
-
-    The process executor is additionally crash-tolerant: a worker process
-    dying (``BrokenProcessPool``) rebuilds the pool and re-runs only the
-    scenarios whose outcomes were lost, and after :data:`_MAX_POOL_REBUILDS`
-    rebuilds the remainder is evaluated serially in the parent with captured
-    errors -- a sweep never dies with a half-priced grid.
+            family per generation instead of per-GEMM Python loops.  On by
+            default; turn off to force the one-at-a-time reference path that
+            the cold-sweep benchmark and the bit-identity tests compare
+            against.
     """
 
     def __init__(
         self,
         executor: str = "serial",
-        max_workers: Optional[int] = None,
         cache_size: int = 4096,
         capture_errors: bool = False,
         disk_cache: "DiskResultStore | str | bool | None" = None,
         batch_planning: bool = True,
-        scenario_timeout: Optional[float] = None,
     ):
-        if executor not in EXECUTORS:
-            raise ConfigurationError(f"executor must be one of {EXECUTORS}, got {executor!r}")
-        if executor == "process" and not batch_planning:
-            raise ConfigurationError(
-                "the process executor shards the batch planner; batch_planning=False runs serially only"
-            )
+        # Evaluation always runs in-process.  The keyword stays, accepting only
+        # "serial", because perfbench/workloads.py passes executor="serial" and
+        # perfbench/ is held fixed so that its runs compare across commits.
+        if executor != "serial":
+            raise ConfigurationError(f"executor must be 'serial', got {executor!r}")
         if cache_size < 0:
             raise ConfigurationError("cache_size must be non-negative")
-        if scenario_timeout is not None and scenario_timeout <= 0:
-            raise ConfigurationError("scenario_timeout must be positive (or None)")
-        self.executor = executor
-        self.max_workers = max_workers
         self.cache_size = cache_size
         self.capture_errors = capture_errors
         self.batch_planning = batch_planning
-        self.scenario_timeout = scenario_timeout
         self.disk_cache = _resolve_disk_cache(disk_cache)
         self.stats = SweepStats()
         self._cache: "collections.OrderedDict[str, _CacheEntry]" = collections.OrderedDict()
@@ -285,9 +235,7 @@ class SweepRunner:
         ``on_result`` streams progress: it is called exactly once per input
         scenario, as soon as that scenario's result is known -- cached results
         fire before any evaluation starts, fresh ones as their evaluation
-        completes (shard completion order under the process executor, so not
-        necessarily input order).  The returned list is always input-ordered
-        regardless.
+        completes.  The returned list is always input-ordered.
         """
         capture = self.capture_errors if capture_errors is None else capture_errors
         ordered = list(scenarios)
@@ -315,8 +263,7 @@ class SweepRunner:
         results: List[Optional[SweepResult]] = [None] * len(ordered)
         # When errors raise (capture off), every pending scenario is still
         # evaluated and cached first, and the error surfaced is the earliest
-        # one in *input* order -- deterministic even when process shards
-        # complete out of order.
+        # one in *input* order.
         deferred_errors: List["tuple[int, ReproError]"] = []
 
         def resolve(key: str, entry: _CacheEntry, fresh: bool) -> None:
@@ -432,13 +379,10 @@ class SweepRunner:
     ) -> Dict[str, _CacheEntry]:
         """Evaluate every pending scenario, streaming entries via ``on_entry``.
 
-        ``on_entry`` fires once per key as its evaluation completes (input
-        order for the serial executor, shard completion order for the
-        process executor); stats and the result cache are updated before
-        each callback.
+        ``on_entry`` fires once per key, in input order, as its evaluation
+        completes; stats and the result cache are updated before each
+        callback.
         """
-        if not pending:
-            return {}
         fresh: Dict[str, _CacheEntry] = {}
 
         def record(key: str, entry: _CacheEntry) -> None:
@@ -453,99 +397,28 @@ class SweepRunner:
             if on_entry is not None:
                 on_entry(key, entry)
 
-        def record_outcomes(outcomes) -> None:
-            for outcome in outcomes:
-                if outcome.batched:
-                    with self._lock:
-                        self.stats.batched_scenarios += 1
-                record(outcome.key, _CacheEntry(value=outcome.value, error=outcome.error))
-
-        def absorb_timings(timings: BatchTimings) -> None:
-            with self._lock:
-                self.stats.plan_seconds += timings.plan_seconds
-                self.stats.price_seconds += timings.price_seconds
-                self.stats.scatter_seconds += timings.scatter_seconds
-
-        def record_transient(key: str, message: str) -> None:
-            # A soft-timeout outcome: surfaced like a captured error but
-            # never written to the LRU or the disk store -- timeouts are
-            # environmental, not properties of the scenario.
-            with self._lock:
-                self.stats.timeouts += 1
-            entry = _CacheEntry(error=ReproError(message))
-            fresh[key] = entry
-            if on_entry is not None:
-                on_entry(key, entry)
-
-        if self.executor == "serial" or len(pending) == 1:
-            if self.batch_planning and len(pending) > 1:
-                # Stream outcomes as they are assembled (instead of recording
-                # the returned list wholesale): every completed scenario is in
-                # the LRU and the disk store before the next one evaluates, so
-                # a KeyboardInterrupt mid-generation loses only in-flight work.
-                timings = BatchTimings()
-                try:
-                    evaluate_pending_batched(
-                        pending, timings=timings, on_outcome=lambda o: record_outcomes([o])
-                    )
-                finally:
-                    absorb_timings(timings)
-                return fresh
-            for key, scenario in pending.items():
-                record(key, self._evaluate_one(scenario))
-            return fresh
-        # Process-sharded planning: each worker plans + prices one contiguous
-        # shard of the generation through the batch planner, the parent merges
-        # outcomes (and their stage timings) through the normal record path.
-        # A crashed worker breaks the whole pool, so the shards whose outcomes
-        # never landed are re-sharded onto a fresh pool (serially, in the
-        # parent, as a last resort).
-        workers = self.max_workers or os.cpu_count() or 1
-        remaining = list(pending.items())
-        rebuilds = 0
-        while remaining:
-            shards = _split_shards(remaining, workers)
-            window = (
-                None
-                if self.scenario_timeout is None
-                else self.scenario_timeout * max(len(shard) for shard in shards)
-            )
-            timed_out = False
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.max_workers)
-            try:
-                futures = {pool.submit(evaluate_shard, shard): shard for shard in shards}
-                outstanding = set(futures)
-                while outstanding:
-                    done, outstanding = concurrent.futures.wait(
-                        outstanding,
-                        timeout=window,
-                        return_when=concurrent.futures.FIRST_COMPLETED,
-                    )
-                    if not done:
-                        timed_out = True
-                        for future in outstanding:
-                            future.cancel()
-                            for key, _ in futures[future]:
-                                record_transient(
-                                    key, f"scenario evaluation stalled past {window:g}s (shard abandoned)"
-                                )
-                        break
-                    for future in done:
-                        outcomes, timings = future.result()
-                        record_outcomes(outcomes)
-                        absorb_timings(timings)
-                remaining = []
-            except concurrent.futures.process.BrokenProcessPool:
+        def record_outcome(outcome: BatchOutcome) -> None:
+            if outcome.batched:
                 with self._lock:
-                    self.stats.pool_rebuilds += 1
-                rebuilds += 1
-                remaining = [(key, scenario) for key, scenario in remaining if key not in fresh]
-                if rebuilds > _MAX_POOL_REBUILDS:
-                    for key, scenario in remaining:
-                        record(key, self._evaluate_one(scenario))
-                    remaining = []
+                    self.stats.batched_scenarios += 1
+            record(outcome.key, _CacheEntry(value=outcome.value, error=outcome.error))
+
+        if self.batch_planning and len(pending) > 1:
+            # Stream outcomes as they are assembled (instead of recording the
+            # returned list wholesale): every completed scenario is in the LRU
+            # and the disk store before the next one evaluates, so a
+            # KeyboardInterrupt mid-generation loses only in-flight work.
+            timings = BatchTimings()
+            try:
+                evaluate_pending_batched(pending, timings=timings, on_outcome=record_outcome)
             finally:
-                pool.shutdown(wait=not timed_out, cancel_futures=timed_out)
+                with self._lock:
+                    self.stats.plan_seconds += timings.plan_seconds
+                    self.stats.price_seconds += timings.price_seconds
+                    self.stats.scatter_seconds += timings.scatter_seconds
+            return fresh
+        for key, scenario in pending.items():
+            record(key, self._evaluate_one(scenario))
         return fresh
 
     def _evaluate_one(self, scenario: Scenario) -> _CacheEntry:
@@ -553,26 +426,6 @@ class SweepRunner:
             return _CacheEntry(value=evaluate_scenario(scenario))
         except ReproError as error:
             return _CacheEntry(error=error)
-
-
-def _split_shards(items: List[Tuple[str, Scenario]], workers: int) -> List[List[Tuple[str, Scenario]]]:
-    """Split pending ``(key, scenario)`` pairs into contiguous, near-equal shards.
-
-    Produces at most ``workers`` non-empty shards whose sizes differ by at
-    most one, preserving input order (so merged outcomes stay deterministic
-    modulo completion order, which the runner's record path already
-    tolerates).
-    """
-    count = len(items)
-    shard_count = max(1, min(workers, count))
-    base, extra = divmod(count, shard_count)
-    shards: List[List[Tuple[str, Scenario]]] = []
-    start = 0
-    for shard_index in range(shard_count):
-        size = base + (1 if shard_index < extra else 0)
-        shards.append(items[start : start + size])
-        start += size
-    return shards
 
 
 def _resolve_disk_cache(disk_cache: "DiskResultStore | str | bool | None") -> Optional[DiskResultStore]:

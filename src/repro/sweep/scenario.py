@@ -21,8 +21,6 @@ import dataclasses
 import enum
 import hashlib
 import operator
-import os
-import time as _time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..caching import Memo
@@ -496,8 +494,7 @@ def _canonical(value: object) -> object:
         # of the same object cost one attribute read -- no hashing of the
         # deep spec), and the value-keyed memo behind it collapses
         # *distinct-but-equal* objects, which catalog resolution produces one
-        # of per scenario.  The pinned digest is a small tuple of strings, so
-        # scenarios shipped to process-pool workers stay cheap to pickle.
+        # of per scenario.
         digest = value.__dict__.get("_repro_canonical")
         if digest is None:
             digest = _CANONICAL_MEMO.get(value)
@@ -682,48 +679,12 @@ def clear_engine_cache() -> None:
     clear_collective_model_cache()
 
 
-def apply_test_fault_hooks(scenarios: Sequence[Scenario]) -> None:
-    """Test-only fault injection, armed exclusively through environment variables.
-
-    The crash-recovery and soft-timeout tests need a worker process to
-    misbehave deterministically mid-sweep; real fault surfaces (a dying
-    process, a wedged evaluation) cannot be triggered from scenario data.
-    Inert unless one of these is set:
-
-    * ``REPRO_TEST_CRASH_TAG``: a worker evaluating a scenario with this tag
-      hard-exits (``os._exit``, no cleanup -- exactly what breaks a process
-      pool).  With ``REPRO_TEST_CRASH_ONCE`` naming a marker file, only the
-      first process to create it crashes; retries then run normally.
-    * ``REPRO_TEST_SLOW_TAG``: a scenario with this tag sleeps
-      ``REPRO_TEST_SLOW_SECONDS`` (default 1.0) before evaluating, to trip
-      the runner's stall detector.
-    """
-    crash_tag = os.environ.get("REPRO_TEST_CRASH_TAG")
-    slow_tag = os.environ.get("REPRO_TEST_SLOW_TAG")
-    if not crash_tag and not slow_tag:
-        return
-    for scenario in scenarios:
-        if crash_tag and scenario.tag == crash_tag:
-            marker = os.environ.get("REPRO_TEST_CRASH_ONCE")
-            if marker:
-                try:
-                    with open(marker, "x"):
-                        pass
-                except OSError:  # marker exists (or unwritable): already crashed once
-                    continue
-            os._exit(17)
-        if slow_tag and scenario.tag == slow_tag:
-            _time.sleep(float(os.environ.get("REPRO_TEST_SLOW_SECONDS", "1.0")))
-
-
 def evaluate_scenario(scenario: Scenario) -> object:
     """Evaluate one scenario to its result object.
 
-    This is the single dispatch point the sweep runner (and its process-pool
-    workers) call; it must stay importable at module top level so scenarios
-    can be shipped to worker processes.
+    This is the single dispatch point of the sweep runner's one-at-a-time
+    path and of the batch planner's fallback for unbatchable kinds.
     """
-    apply_test_fault_hooks((scenario,))
     kind = scenario.kind
     if kind is ScenarioKind.GEMV_VALIDATION:
         from ..calibration.gemv import run_gemv_validation

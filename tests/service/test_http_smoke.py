@@ -1,10 +1,12 @@
-"""One real-socket smoke test: the stdlib HTTP transport end to end.
+"""Real-socket smoke tests: the stdlib HTTP transport end to end.
 
 Everything route-level lives in ``test_api.py`` against the fakes; this file
 only proves the socket adapter works -- bind, submit over HTTP, stream the
-NDJSON events, fetch the CSV, shut down cleanly.
+NDJSON events, fetch the CSV, shut down cleanly -- and that it refuses
+request bodies it must not read.
 """
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -19,6 +21,7 @@ from repro.service import (
     StudyService,
     make_server,
 )
+from repro.service.http import MAX_BODY_BYTES
 from repro.studies import Study
 from repro.sweep import SweepRunner
 
@@ -99,3 +102,52 @@ def test_submit_stream_fetch_over_real_sockets(live_server):
         _post(f"{base}/studies", bad)
     assert failure.value.code == 422
     assert "no_such_extractor" in json.loads(failure.value.read())["error"]["message"]
+
+
+# ---------------------------------------------------------------------------
+# Request bodies the transport refuses to read.
+# ---------------------------------------------------------------------------
+
+
+def _raw_post(base, headers, body=b""):
+    """POST /studies with hand-set headers (``http.client`` adds none of its own)."""
+    host, port = base.removeprefix("http://").split(":")
+    connection = http.client.HTTPConnection(host, int(port), timeout=30)
+    try:
+        connection.putrequest("POST", "/studies", skip_accept_encoding=True)
+        for name, value in headers.items():
+            connection.putheader(name, value)
+        connection.endheaders(body)
+        response = connection.getresponse()
+        return response.status, response.getheader("Connection"), json.loads(response.read())
+    finally:
+        connection.close()
+
+
+@pytest.mark.parametrize("declared", ["twelve", "-5"])
+def test_malformed_content_length_is_a_400(live_server, declared):
+    base, _ = live_server
+    status, connection, body = _raw_post(base, {"Content-Length": declared})
+    assert status == 400
+    assert connection == "close"
+    assert body["error"]["type"] == "BadRequest"
+
+
+def test_oversized_body_is_a_413_without_reading_it(live_server):
+    base, runner = live_server
+    # One byte sent, 10 TB declared: the body is refused before any read.
+    status, connection, body = _raw_post(base, {"Content-Length": str(10 * 1024**4)}, body=b"{")
+    assert status == 413
+    assert connection == "close"
+    assert body["error"]["type"] == "PayloadTooLarge"
+    assert str(MAX_BODY_BYTES) in body["error"]["message"]
+    assert runner.stats.evaluations == 0
+
+
+def test_body_at_the_limit_is_read(live_server):
+    base, _ = live_server
+    payload = json.dumps(SPEC).encode().ljust(MAX_BODY_BYTES)  # trailing spaces are valid JSON
+    status, connection, body = _raw_post(base, {"Content-Length": str(len(payload))}, body=payload)
+    assert status == 202
+    assert connection is None
+    assert body["job"]["state"] in ("queued", "running", "done")

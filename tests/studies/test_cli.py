@@ -113,15 +113,12 @@ def test_no_command_prints_help(capsys):
     assert "usage" in capsys.readouterr().out.lower()
 
 
-def test_run_with_process_executor(tmp_path):
-    assert main(["run", "table4_gemm_bottlenecks", "-p", "gpus=('A100', 'H100')",
-                 "--executor", "process", "--max-workers", "2", "--quiet", "--no-disk-cache"]) == 0
-
-
-def test_thread_executor_is_gone(capsys):
+@pytest.mark.parametrize("command", [["run", "table4_gemm_bottlenecks"], ["serve"]])
+@pytest.mark.parametrize("flag", [["--executor", "serial"], ["--max-workers", "2"]])
+def test_executor_flags_are_gone(capsys, command, flag):
     with pytest.raises(SystemExit):
-        main(["run", "table4_gemm_bottlenecks", "--executor", "thread"])
-    assert "invalid choice" in capsys.readouterr().err
+        main([*command, *flag])
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

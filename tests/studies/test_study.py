@@ -216,8 +216,3 @@ def test_execute_exposes_run_context(registered_tiny):
     assert len(run.combos) == len(run.scenarios) == len(run.results) == 2
     assert run.table.keys()[0] == "system"
     assert all(result.ok for result in run.results)
-
-
-def test_executor_shorthand_builds_a_runner(registered_tiny):
-    table = inference_study().run(executor="process")
-    assert len(table) == 2

@@ -1,4 +1,4 @@
-"""Training batched pricing and process-sharded planning: bit-identity."""
+"""Training batched pricing: bit-identity, disk-store round trips, stage timings."""
 
 import pytest
 
@@ -11,9 +11,7 @@ from repro.sweep import (
     clear_engine_cache,
     engine_for,
     evaluate_pending_batched,
-    evaluate_shard,
 )
-from repro.sweep.runner import _split_shards
 
 
 def _run_both(scenarios, capture_errors=False, **runner_kwargs):
@@ -119,78 +117,35 @@ def test_engine_templates_are_dropped_with_the_engines(tiny_model):
 
 
 # ---------------------------------------------------------------------------
-# Process-sharded planning.
+# A mixed batched generation through the disk store.
 # ---------------------------------------------------------------------------
 
 
-def test_process_sharded_matches_serial_batched(tiny_model):
-    scenarios = [
-        Scenario.training("A100x4", tiny_model, label, global_batch_size=8)
-        for label in ("1-1-1-1", "2-1-1-1", "2-2-1-1", "4-1-1-1")
-    ] + [
-        Scenario.decode_bottlenecks("A100", tiny_model, kv_len=kv_len)
-        for kv_len in (50, 100, 150)
-    ]
-    sharded, sharded_results, _, _ = _run_both(scenarios, executor="process", max_workers=2)
-    clear_engine_cache()
-    serial = SweepRunner(batch_planning=True)
-    serial_results = serial.run(scenarios)
-    assert sharded.stats.batched_scenarios == len(scenarios)
-    assert sharded.stats.evaluations == len(scenarios)
-    for ours, theirs in zip(sharded_results, serial_results):
-        if hasattr(ours.value, "to_dict"):
-            assert ours.value.to_dict() == theirs.value.to_dict()
-        else:
-            assert ours.value == theirs.value
-
-
-def test_process_sharded_captures_errors_and_writes_disk_store(tiny_model, tmp_path):
+def test_batched_generation_captures_errors_and_writes_disk_store(tiny_model, tmp_path):
     scenarios = [
         Scenario.training("A100x4", tiny_model, "2-2-1-1", global_batch_size=8),
         Scenario.inference("A100", "Llama2-70B", tensor_parallel=1),  # infeasible
         Scenario.decode_bottlenecks("A100", tiny_model, kv_len=75),
     ]
     clear_engine_cache()
-    runner = SweepRunner(
-        executor="process", max_workers=2, batch_planning=True, disk_cache=tmp_path, capture_errors=True
-    )
+    runner = SweepRunner(batch_planning=True, disk_cache=tmp_path, capture_errors=True)
     results = runner.run(scenarios)
     assert results[0].ok and results[2].ok
     assert results[1].error is not None
     assert runner.stats.errors == 1
+    assert runner.stats.batched_scenarios == len(scenarios)
     assert runner.disk_cache.count() == len(scenarios)
     # A fresh runner on the same store re-prices nothing.
     warm = SweepRunner(disk_cache=tmp_path, capture_errors=True)
     warm_results = warm.run(scenarios)
     assert warm.stats.evaluations == 0
     assert warm.stats.disk_hits == len(scenarios)
+    assert warm_results[1].error == results[1].error
     for ours, theirs in zip(warm_results, results):
         if hasattr(ours.value, "to_dict"):
             assert ours.value.to_dict() == theirs.value.to_dict()
         else:
             assert ours.value == theirs.value
-
-
-def test_evaluate_shard_returns_outcomes_and_timings(tiny_model):
-    scenarios = [
-        Scenario.decode_bottlenecks("A100", tiny_model, kv_len=kv_len) for kv_len in (10, 20)
-    ]
-    items = [(scenario.cache_key(), scenario) for scenario in scenarios]
-    outcomes, timings = evaluate_shard(items)
-    assert [outcome.key for outcome in outcomes] == [key for key, _ in items]
-    assert all(outcome.batched for outcome in outcomes)
-    assert timings.plan_seconds >= 0.0
-    assert timings.price_seconds >= 0.0
-    assert timings.scatter_seconds >= 0.0
-
-
-def test_split_shards_contiguous_and_balanced():
-    items = [(str(index), None) for index in range(7)]
-    shards = _split_shards(items, 3)
-    assert [len(shard) for shard in shards] == [3, 2, 2]
-    assert [pair for shard in shards for pair in shard] == items
-    assert _split_shards(items, 10) == [[item] for item in items]
-    assert _split_shards(items, 1) == [items]
 
 
 # ---------------------------------------------------------------------------

@@ -152,21 +152,6 @@ def test_corrupted_store_reprices_instead_of_crashing(tmp_path, tiny_model):
     assert store.get(scenarios[0].cache_key()) is not None
 
 
-def test_process_pool_writers_share_one_store(tmp_path, tiny_model):
-    scenarios = _grid(tiny_model)
-    writer = SweepRunner(executor="process", max_workers=2, disk_cache=tmp_path)
-    writer_results = writer.run(scenarios)
-    assert writer.stats.evaluations == len(scenarios)
-    assert writer.disk_cache.count() == len(scenarios)
-
-    reader = SweepRunner(disk_cache=tmp_path)
-    reader_results = reader.run(scenarios)
-    assert reader.stats.evaluations == 0
-    assert reader.stats.disk_hits == len(scenarios)
-    for ours, theirs in zip(reader_results, writer_results):
-        assert ours.value == theirs.value
-
-
 def test_resolve_disk_cache_forms(tmp_path):
     assert _resolve_disk_cache(None) is None
     assert _resolve_disk_cache(False) is None

@@ -1,4 +1,4 @@
-"""Tests for the sweep runner: dedup, caching, executors, error capture."""
+"""Tests for the sweep runner: dedup, caching, executor name, error capture."""
 
 import pytest
 
@@ -62,28 +62,11 @@ def test_results_preserve_input_order(system, tiny_model):
     assert [r.scenario.batch_size for r in results] == [4, 1, 2]
 
 
-def test_process_executor_matches_serial(system, tiny_model):
-    grid = [
-        Scenario.inference(system, tiny_model, batch_size=combo["batch_size"], tensor_parallel=combo["tensor_parallel"])
-        for combo in expand_grid(batch_size=[1, 2], tensor_parallel=[1, 2])
-    ]
-    serial = [r.value.total_latency for r in SweepRunner().run(grid)]
-    parallel = [r.value.total_latency for r in SweepRunner(executor="process", max_workers=2).run(grid)]
-    assert parallel == pytest.approx(serial)
-
-
-@pytest.mark.parametrize("executor", ["gpu", "thread"])
+@pytest.mark.parametrize("executor", ["gpu", "thread", "process"])
 def test_unknown_executor_rejected(executor):
     with pytest.raises(ConfigurationError):
         SweepRunner(executor=executor)
-
-
-def test_process_executor_requires_batch_planning():
-    # The process executor only shards the batch planner; the one-at-a-time
-    # reference path runs serially.
-    with pytest.raises(ConfigurationError):
-        SweepRunner(executor="process", batch_planning=False)
-    assert SweepRunner(batch_planning=False).executor == "serial"
+    SweepRunner(executor="serial", batch_planning=True)  # the one executor name still accepted
 
 
 def test_infeasible_scenarios_raise_by_default(system):
@@ -222,15 +205,6 @@ def test_on_result_fires_cached_results_before_evaluations(system, tiny_model):
     assert [r.from_cache for r in seen] == [True, False]
 
 
-def test_on_result_with_process_executor_covers_every_scenario(system, tiny_model):
-    runner = SweepRunner(executor="process", max_workers=2)
-    grid = [Scenario.inference(system, tiny_model, batch_size=batch) for batch in (1, 2, 3, 4)]
-    seen = []
-    results = runner.run(grid, on_result=seen.append)
-    assert sorted(r.scenario.batch_size for r in seen) == [1, 2, 3, 4]
-    assert [r.scenario.batch_size for r in results] == [1, 2, 3, 4]  # return stays input-ordered
-
-
 def test_on_result_receives_captured_errors(system, tiny_model):
     runner = SweepRunner(capture_errors=True)
     bad = Scenario.inference(system, "Llama2-70B", tensor_parallel=1)
@@ -242,19 +216,17 @@ def test_on_result_receives_captured_errors(system, tiny_model):
 
 def test_uncaptured_errors_raise_deterministically_after_evaluating_everything(system, tiny_model):
     """With capture off, every pending scenario still evaluates (and caches)
-    before the earliest input's error is raised -- in input order, even under
-    the process executor where shard completion order varies."""
+    before the earliest input's error is raised."""
     first_bad = Scenario.inference(system, "Llama2-70B", tensor_parallel=1, prompt_tokens=100)
     good = Scenario.inference(system, tiny_model)
     second_bad = Scenario.inference(system, "Llama2-70B", tensor_parallel=1, prompt_tokens=300)
-    for executor in ("serial", "process"):
-        runner = SweepRunner(executor=executor, max_workers=2)
-        with pytest.raises(MemoryCapacityError):
-            runner.run([first_bad, good, second_bad])
-        assert runner.stats.evaluations == 3  # nothing was skipped
-        # Everything landed in the cache before the raise: the captured
-        # re-run is served entirely from it.
-        results = runner.run([first_bad, good, second_bad], capture_errors=True)
-        assert runner.stats.evaluations == 3
-        assert [r.from_cache for r in results] == [True, True, True]
-        assert results[1].ok and not results[0].ok and not results[2].ok
+    runner = SweepRunner()
+    with pytest.raises(MemoryCapacityError):
+        runner.run([first_bad, good, second_bad])
+    assert runner.stats.evaluations == 3  # nothing was skipped
+    # Everything landed in the cache before the raise: the captured re-run is
+    # served entirely from it.
+    results = runner.run([first_bad, good, second_bad], capture_errors=True)
+    assert runner.stats.evaluations == 3
+    assert [r.from_cache for r in results] == [True, True, True]
+    assert results[1].ok and not results[0].ok and not results[2].ok

@@ -207,8 +207,9 @@ def test_fleet_scenario_evaluates_and_caches(single_node_a100):
 
 
 # ---------------------------------------------------------------------------
-# Cache-key stability across process boundaries (the process executor ships
-# scenarios to workers; their keys must not depend on the building process).
+# Cache-key stability across process boundaries (separate `repro run` and
+# `repro serve` processes share one disk store, so a key must not depend on
+# the process that computed it).
 # ---------------------------------------------------------------------------
 
 def _remote_cache_key(scenario):
@@ -278,15 +279,3 @@ def test_cache_key_stable_across_process_executor(single_node_a100, tiny_model, 
     with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
         remote = list(pool.map(_remote_cache_key, scenarios))
     assert remote == local
-
-
-def test_process_executor_results_hit_the_parent_cache(single_node_a100, tiny_model):
-    """A process-executed scenario lands in the cache under the same key the
-    serial path would use, so the re-run is served without re-evaluating."""
-    runner = SweepRunner(executor="process", max_workers=2)
-    grid = [Scenario.inference(single_node_a100, tiny_model, batch_size=batch) for batch in (1, 2)]
-    runner.run(grid)
-    assert runner.stats.evaluations == 2
-    runner.run(grid)
-    assert runner.stats.evaluations == 2
-    assert runner.stats.cache_hits == 2
