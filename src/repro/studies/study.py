@@ -62,7 +62,7 @@ from ..serving.request import FleetTraceConfig, LengthDistribution, TenantTrace,
 from ..serving.scheduler import SchedulerConfig
 from ..serving.simulator import ServingConfig
 from ..sweep.diskstore import DiskResultStore
-from ..sweep.runner import SweepResult, SweepRunner, default_runner, expand_grid, merge_axis_records
+from ..sweep.runner import _PLAIN_SCALARS, SweepResult, SweepRunner, default_runner, expand_grid, merge_axis_records
 from ..sweep.scenario import Scenario
 from ..sweep.table import SweepTable
 from .extractors import get_derive, get_extractor
@@ -81,8 +81,8 @@ SCENARIO_FACTORIES: Dict[str, Callable[..., Scenario]] = {
     "gemv_validation": Scenario.gemv_validation,
 }
 
-_FACTORY_PARAMS: Dict[str, Tuple[str, ...]] = {
-    kind: tuple(inspect.signature(factory).parameters)
+_FACTORY_PARAMS: Dict[str, frozenset] = {
+    kind: frozenset(inspect.signature(factory).parameters)
     for kind, factory in SCENARIO_FACTORIES.items()
 }
 
@@ -105,6 +105,20 @@ _FACTORY_REQUIRED: Dict[str, Tuple[str, ...]] = {
 DeriveSpec = Union[str, Tuple[str, Mapping[str, object]], Callable]
 
 ExtractFn = Callable[[SweepResult], "Mapping[str, object] | Sequence[Mapping[str, object]]"]
+
+
+def _is_mapping(value: object) -> bool:
+    """``isinstance(value, Mapping)``, short-cut for dicts and plain scalars.
+
+    Every combo value is tested once per row, so the common types skip the
+    ABC ``isinstance`` machinery.
+    """
+    value_type = type(value)
+    if value_type is dict:
+        return True
+    if value_type in _PLAIN_SCALARS:
+        return False
+    return isinstance(value, AbcMapping)
 
 
 @dataclasses.dataclass
@@ -209,7 +223,7 @@ class Study:
         """Overlay one combo onto ``fixed``, spreading mapping-valued axes."""
         flat: Dict[str, object] = dict(self.fixed)
         for axis, value in combo.items():
-            if isinstance(value, AbcMapping):
+            if _is_mapping(value):
                 flat.update(value)
             else:
                 flat[axis] = value
@@ -233,25 +247,28 @@ class Study:
             source = dict(self.prepare(source))
         else:
             self._check_unused_keys(combo, source)
-        factory = SCENARIO_FACTORIES[self.kind]
+        params = _FACTORY_PARAMS[self.kind]
         kwargs = {
-            name: _decode_factory_value(name, source[name])
-            for name in _FACTORY_PARAMS[self.kind]
-            if name in source
+            name: value if type(value) in _PLAIN_SCALARS else _decode_factory_value(name, value)
+            for name, value in source.items()
+            if name in params
         }
-        return factory(**kwargs)
+        return SCENARIO_FACTORIES[self.kind](**kwargs)
 
     def _check_unused_keys(self, combo: Mapping[str, object], source: Mapping[str, object]) -> None:
         """Reject flattened keys that neither reach the factory nor a column."""
         params = _FACTORY_PARAMS[self.kind]
+        extra = [name for name in source if name not in params]
+        if not extra:  # the common case: every key is a factory parameter
+            return
         if self.columns is not None:
             column_names = set(self.columns)
         else:  # default columns: every axis-derived key
             column_names = set()
             for axis in self.axes:
                 value = combo.get(axis)
-                column_names.update(value if isinstance(value, AbcMapping) else (axis,))
-        unused = sorted(name for name in source if name not in params and name not in column_names)
+                column_names.update(value if _is_mapping(value) else (axis,))
+        unused = sorted(name for name in extra if name not in column_names)
         if unused:
             raise ConfigurationError(
                 f"study {self.name!r}: {unused} match neither a {self.kind!r} scenario "
@@ -343,7 +360,7 @@ class Study:
         record: Dict[str, object] = {}
         for axis in self.axes:
             value = combo[axis]
-            if isinstance(value, AbcMapping):
+            if _is_mapping(value):
                 record.update(value)
             else:
                 record[axis] = value
@@ -591,7 +608,7 @@ def _decode_factory_value(name: str, value: object) -> object:
     labels themselves); mappings rebuild the structured configs that JSON
     flattened.
     """
-    if not isinstance(value, AbcMapping):
+    if not _is_mapping(value):
         return value
     if name == "parallelism":
         return ParallelismConfig(**value)

@@ -21,6 +21,7 @@ Grids expand with :func:`expand_grid`::
 from __future__ import annotations
 
 import collections
+import collections.abc
 import dataclasses
 import enum
 import itertools
@@ -439,6 +440,12 @@ def _resolve_disk_cache(disk_cache: "DiskResultStore | str | bool | None") -> Op
     return DiskResultStore(root=disk_cache)
 
 
+#: Plain scalar types: never mappings, and :func:`axis_label` returns them
+#: unchanged.  Per-row loops test for them first, to skip a call or an ABC
+#: ``isinstance`` check.
+_PLAIN_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def axis_label(value: object) -> object:
     """Render one axis value as a table-column scalar.
 
@@ -475,9 +482,11 @@ def merge_axis_records(
     values, rendered through :func:`axis_label`.
     """
     for axes, result in zip(axis_records, results):
-        rendered = {name: axis_label(value) for name, value in axes.items()}
+        rendered = {
+            name: value if type(value) in _PLAIN_SCALARS else axis_label(value) for name, value in axes.items()
+        }
         extracted = extract(result)
-        if isinstance(extracted, Mapping):
+        if isinstance(extracted, collections.abc.Mapping):
             extracted = [extracted]
         for record in extracted:
             yield {**rendered, **record}

@@ -151,3 +151,12 @@ def test_body_at_the_limit_is_read(live_server):
     assert status == 202
     assert connection is None
     assert body["job"]["state"] in ("queued", "running", "done")
+
+
+def test_server_keeps_serving_after_refusing_bodies(live_server):
+    base, _ = live_server
+    assert _raw_post(base, {"Content-Length": "twelve"})[0] == 400
+    assert _raw_post(base, {"Content-Length": str(MAX_BODY_BYTES + 1)}, body=b"{")[0] == 413
+    status, submitted = _post(f"{base}/studies", SPEC)
+    assert status == 202
+    assert submitted["job"]["state"] in ("queued", "running", "done")

@@ -1,8 +1,11 @@
 """Tests for the declarative Study builder: expansion, execution, streaming."""
 
+import types
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.hardware.datatypes import Precision
 from repro.models.zoo import register_model
 from repro.studies import Study
 from repro.sweep import SweepRunner
@@ -70,6 +73,26 @@ def test_mapping_axis_spreads_linked_parameters(registered_tiny):
     assert table["label"].tolist() == ["short", "long"]
     assert table["prompt_tokens"].tolist() == [32, 256]
     assert table["latency_s"][1] > table["latency_s"][0]
+
+
+def test_non_dict_mapping_axis_spreads_like_a_dict(registered_tiny):
+    cases = [
+        {"label": "short", "prompt_tokens": 32, "generated_tokens": 8},
+        {"label": "long", "prompt_tokens": 256, "generated_tokens": 64},
+    ]
+    fixed = {"model": "tiny-gpt", "system": "A100"}
+    runner = SweepRunner()
+    expected = inference_study(axes={"case": cases}, fixed=fixed).run(runner=runner)
+    proxies = [types.MappingProxyType(case) for case in cases]
+    table = inference_study(axes={"case": proxies}, fixed=fixed).run(runner=runner)
+    assert table.to_dict() == expected.to_dict()
+
+
+def test_enum_axis_values_reach_the_factory_and_render_as_their_value(registered_tiny):
+    study = inference_study(axes={"system": ["A100"], "precision": [Precision.FP16, Precision.BF16]})
+    run = study.execute(runner=SweepRunner())
+    assert [scenario.precision for scenario in run.scenarios] == [Precision.FP16, Precision.BF16]
+    assert run.table["precision"].tolist() == ["fp16", "bf16"]
 
 
 def test_columns_projection_and_fixed_lift(registered_tiny):

@@ -1,5 +1,6 @@
 """Tests for the persistent on-disk result store and its runner integration."""
 
+import concurrent.futures
 import os
 import pickle
 
@@ -150,6 +151,33 @@ def test_corrupted_store_reprices_instead_of_crashing(tmp_path, tiny_model):
     assert [r.value for r in second_results] == [r.value for r in first_results]
     # The re-evaluation healed the damaged entry.
     assert store.get(scenarios[0].cache_key()) is not None
+
+
+def _price_into_store(root, scenarios):
+    """One writer process: a fresh runner pricing into the shared store."""
+    runner = SweepRunner(disk_cache=root)
+    runner.run(scenarios)
+    return runner.stats.evaluations, runner.stats.disk_hits
+
+
+def test_process_pool_writers_share_one_store(tmp_path, tiny_model):
+    # Separate `repro run` / `repro serve` processes may write one store at
+    # once; overlapping halves let both processes write the middle keys.
+    scenarios = _grid(tiny_model, count=6)
+    halves = [scenarios[:4], scenarios[2:]]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
+        counts = list(pool.map(_price_into_store, [tmp_path, tmp_path], halves))
+    # A writer that starts late reads the shared keys the other one wrote.
+    assert [evaluations + disk_hits for evaluations, disk_hits in counts] == [4, 4]
+    assert len(scenarios) <= sum(evaluations for evaluations, _ in counts) <= 8
+
+    reader = SweepRunner(disk_cache=tmp_path)
+    reader_results = reader.run(scenarios)
+    assert reader.stats.evaluations == 0
+    assert reader.stats.disk_hits == len(scenarios)
+    assert reader.disk_cache.count() == len(scenarios)
+    for ours, theirs in zip(reader_results, SweepRunner().run(scenarios)):
+        assert ours.value == theirs.value
 
 
 def test_resolve_disk_cache_forms(tmp_path):

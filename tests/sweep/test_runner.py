@@ -1,5 +1,7 @@
 """Tests for the sweep runner: dedup, caching, executor name, error capture."""
 
+import types
+
 import pytest
 
 from repro.errors import ConfigurationError, MemoryCapacityError
@@ -144,6 +146,17 @@ def test_run_grid_expands_cartesian_product_with_axis_columns(system, tiny_model
     assert (table["latency_s"] > 0).all()
 
 
+def test_run_grid_accepts_any_mapping_from_extract(system, tiny_model):
+    table = SweepRunner().run_grid(
+        lambda batch_size: Scenario.inference(system, tiny_model, batch_size=batch_size),
+        extract=lambda result: types.MappingProxyType({"latency_s": result.value.total_latency}),
+        batch_size=[1, 2],
+    )
+    assert table.keys() == ["batch_size", "latency_s"]
+    assert table["batch_size"].tolist() == [1, 2]
+    assert (table["latency_s"] > 0).all()
+
+
 def test_run_grid_default_extract_has_error_column(system, tiny_model):
     runner = SweepRunner(capture_errors=True)
     table = runner.run_grid(
@@ -203,6 +216,51 @@ def test_on_result_fires_cached_results_before_evaluations(system, tiny_model):
     runner.run([cold, warm], on_result=seen.append)
     assert [r.scenario.batch_size for r in seen] == [1, 2]  # cache hit first, then the evaluation
     assert [r.from_cache for r in seen] == [True, False]
+
+
+def test_on_result_covers_every_scenario_of_a_mixed_batched_generation(system, tiny_model):
+    # The planner prices batchable kinds together and sends the rest down the
+    # one-at-a-time path; every input still fires once, whatever the order.
+    grid = [
+        Scenario.decode_bottlenecks("A100", tiny_model, kv_len=64),
+        Scenario.inference_memory(tiny_model),  # not batchable
+        Scenario.inference(system, tiny_model, batch_size=2),
+        Scenario.inference(system, "Llama2-70B", tensor_parallel=1),  # infeasible
+        Scenario.decode_bottlenecks("A100", tiny_model, kv_len=64),  # duplicate
+    ]
+    runner = SweepRunner(capture_errors=True)
+    seen = []
+    results = runner.run(grid, on_result=seen.append)
+    assert sorted(r.scenario.cache_key() for r in seen) == sorted(s.cache_key() for s in grid)
+    assert [r.scenario for r in results] == grid  # the return stays input-ordered
+    assert [r.ok for r in results] == [True, True, True, False, True]
+    assert runner.stats.evaluations == 4
+    assert 0 < runner.stats.batched_scenarios < runner.stats.evaluations
+
+
+def test_interrupted_batched_generation_resumes_without_duplicates(tmp_path, tiny_model):
+    """Outcomes are recorded as they are assembled: an interrupt keeps what
+    completed, and the resumed run prices only the rest, each once."""
+    scenarios = [Scenario.decode_bottlenecks("A100", tiny_model, kv_len=kv) for kv in (40, 80, 120, 160)]
+    seen = []
+
+    def interrupt_after_two(result):
+        seen.append(result)
+        if len(seen) == 2:
+            raise KeyboardInterrupt
+
+    first = SweepRunner(disk_cache=tmp_path)
+    with pytest.raises(KeyboardInterrupt):
+        first.run(scenarios, on_result=interrupt_after_two)
+    assert first.stats.evaluations == 2
+    assert first.disk_cache.count() == 2
+
+    resumed = SweepRunner(disk_cache=tmp_path)
+    results = resumed.run(scenarios)
+    assert resumed.stats.disk_hits == 2
+    assert resumed.stats.evaluations == 2
+    assert resumed.disk_cache.count() == len(scenarios)
+    assert all(result.ok for result in results)
 
 
 def test_on_result_receives_captured_errors(system, tiny_model):
