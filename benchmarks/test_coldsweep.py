@@ -18,11 +18,10 @@ the repo root so CI can archive the perf trajectory as an artifact.
 
 from __future__ import annotations
 
-import json
 import pathlib
 import time
 
-from conftest import alternating_medians, emit
+from conftest import alternating_medians, emit, write_bench
 
 from repro.sweep import Scenario, SweepRunner, clear_engine_cache, expand_grid
 from repro.sweep.batchplan import clear_plan_caches
@@ -74,14 +73,14 @@ def test_batched_cold_sweep_beats_scalar_and_stays_bit_identical(benchmark):
     num_scenarios = len(_scenarios())
     assert num_scenarios >= 256
 
-    (cold_seconds, cold), (batched_seconds, batched) = benchmark.pedantic(
+    cold, batched = benchmark.pedantic(
         alternating_medians,
         args=(REPEATS, lambda: _cold_run(False), lambda: _cold_run(True)),
         rounds=1,
         iterations=1,
     )
-    cold_results, cold_runner = cold
-    batched_results, batched_runner = batched
+    cold_seconds, (cold_results, cold_runner) = cold.median, cold.value
+    batched_seconds, (batched_results, batched_runner) = batched.median, batched.value
     assert cold_runner.stats.evaluations == num_scenarios
     assert batched_runner.stats.evaluations == num_scenarios
     assert batched_runner.stats.batched_scenarios == num_scenarios
@@ -106,7 +105,7 @@ def test_batched_cold_sweep_beats_scalar_and_stays_bit_identical(benchmark):
         "speedup": speedup,
     }
     benchmark.extra_info.update(record)
-    BENCH_COLDSWEEP_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_bench(BENCH_COLDSWEEP_PATH, record, repeats={"cold": cold.seconds, "batched_cold": batched.seconds})
 
     emit(
         f"cold sweep: {num_scenarios} decode-bottleneck scenarios ({_MODEL} on {_SYSTEM}), "

@@ -13,12 +13,11 @@ archive the resilience trajectory as an artifact (next to
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import time
 
-from conftest import emit
+from conftest import emit, write_bench
 
 from repro.hardware.cluster import build_system
 from repro.models.zoo import get_model
@@ -107,7 +106,7 @@ def test_degraded_fleet_goodput(benchmark):
         "clean_ttft_p99_s": clean.ttft_p99,
         "faulty_ttft_p99_s": report.ttft_p99,
     }
-    BENCH_FAULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    write_bench(BENCH_FAULTS_PATH, payload)
     benchmark.extra_info.update(payload)
     emit(
         f"degraded fleet: {report.replica_failures} crashes over "

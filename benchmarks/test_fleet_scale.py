@@ -16,12 +16,11 @@ replicas priced in < 60 s wall-clock in a single process.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import time
 
-from conftest import emit
+from conftest import emit, write_bench
 
 from repro.hardware.cluster import build_system
 from repro.models.zoo import get_model
@@ -112,7 +111,7 @@ def test_fleet_simulator_million_request_throughput(benchmark):
         "load_imbalance": report.load_imbalance,
         "cost_per_million_tokens_usd": report.cost_per_million_tokens,
     }
-    BENCH_FLEET_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    write_bench(BENCH_FLEET_PATH, payload)
     benchmark.extra_info.update(payload)
     emit(
         f"fleet simulator: {report.completed_requests:,} requests on "

@@ -19,13 +19,12 @@ same value, the README's 100k row comes from
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import pathlib
 import time
 
-from conftest import alternating_medians, emit
+from conftest import alternating_medians, emit, write_bench
 
 from repro.sweep import Scenario, SweepRunner, cache_keys, clear_engine_cache
 from repro.sweep.batchplan import clear_plan_caches
@@ -101,12 +100,13 @@ def test_megasweep_scales_cold_and_warm(benchmark):
     num_cpus = os.cpu_count() or 1
 
     # -- key-hash throughput: scalar loop vs vectorized identity ------------
-    (scalar_keyhash_seconds, scalar_keys), (vector_keyhash_seconds, vector_keys) = alternating_medians(
+    scalar_keyhash, vector_keyhash = alternating_medians(
         KEYHASH_REPEATS,
         lambda: _cold_keyhash(lambda grid: [scenario.cache_key() for scenario in grid]),
         lambda: _cold_keyhash(cache_keys),
     )
-    assert vector_keys == scalar_keys
+    scalar_keyhash_seconds, vector_keyhash_seconds = scalar_keyhash.median, vector_keyhash.median
+    assert vector_keyhash.value == scalar_keyhash.value
     keyhash_speedup = scalar_keyhash_seconds / vector_keyhash_seconds
     assert keyhash_speedup >= 3.0
 
@@ -143,10 +143,15 @@ def test_megasweep_scales_cold_and_warm(benchmark):
         "plan_seconds": cold_stats["plan_seconds"],
         "price_seconds": cold_stats["price_seconds"],
         "scatter_seconds": cold_stats["scatter_seconds"],
+        "record_seconds": cold_stats["record_seconds"],
         "keyhash_seconds": cold_stats["keyhash_seconds"],
     }
     benchmark.extra_info.update(record)
-    BENCH_MEGASWEEP_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_bench(
+        BENCH_MEGASWEEP_PATH,
+        record,
+        repeats={"scalar_keyhash": scalar_keyhash.seconds, "vectorized_keyhash": vector_keyhash.seconds},
+    )
 
     emit(
         f"megasweep: {num_scenarios} decode-bottleneck scenarios "

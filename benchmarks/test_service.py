@@ -16,7 +16,7 @@ import json
 import pathlib
 import time
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, write_bench
 from repro.service import InMemoryJobStore, ServiceApi, ServiceRegistry, StudyService
 from repro.sweep import SweepRunner, clear_engine_cache
 
@@ -87,7 +87,7 @@ def test_warm_resubmission_at_least_5x_faster_than_cold(benchmark):
         "warm_speedup_x": speedup,
     }
     benchmark.extra_info.update(record)
-    BENCH_SERVICE_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_bench(BENCH_SERVICE_PATH, record)
 
     emit(
         f"study service: {total}-scenario grid through POST /studies\n"

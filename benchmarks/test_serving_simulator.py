@@ -20,11 +20,10 @@ so CI can archive the serving-throughput trajectory as an artifact (next to
 
 from __future__ import annotations
 
-import json
 import pathlib
 import time
 
-from conftest import emit
+from conftest import emit, write_bench
 
 from repro.hardware.cluster import build_system
 from repro.models.zoo import get_model
@@ -101,7 +100,7 @@ def test_serving_simulator_throughput(benchmark):
         "simulated_tokens_per_second": output_tokens / warm_wall_seconds,
         "speedup_vs_realtime": report.simulated_time / warm_wall_seconds,
     }
-    BENCH_SERVING_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    write_bench(BENCH_SERVING_PATH, payload)
     benchmark.extra_info.update(payload)
     emit(
         f"serving simulator: {report.completed_requests} requests / {steps} steps, "

@@ -22,11 +22,10 @@ Results land in ``BENCH_study.json`` for the CI artifact.
 from __future__ import annotations
 
 import gc
-import json
 import pathlib
 import time
 
-from benchmarks.conftest import alternating_medians, emit
+from benchmarks.conftest import alternating_medians, emit, write_bench
 from repro.studies import Study
 from repro.sweep import Scenario, SweepRunner, clear_engine_cache, expand_grid
 from repro.sweep.batchplan import clear_plan_caches
@@ -88,12 +87,15 @@ def test_study_dispatch_overhead_under_5_percent(benchmark):
     # real caller of either API would).
     runner = SweepRunner(cache_size=4 * rows)
     runner.run_table(_scenarios(), extract=extract)
-    (cold_seconds, _), (direct_seconds, direct_table), (study_seconds, study_table) = alternating_medians(
+    cold_runs, direct_runs, study_runs = alternating_medians(
         REPEATS,
         cold,
         lambda: _timed(lambda: runner.run_table(_scenarios(), extract=extract)),
         lambda: _timed(lambda: study.run(runner=runner)),
     )
+    cold_seconds = cold_runs.median
+    direct_seconds, direct_table = direct_runs.median, direct_runs.value
+    study_seconds, study_table = study_runs.median, study_runs.value
     benchmark.pedantic(lambda: study.run(runner=runner), rounds=1, iterations=1)
 
     overhead_pct = (study_seconds - direct_seconds) / cold_seconds * 100.0
@@ -108,7 +110,11 @@ def test_study_dispatch_overhead_under_5_percent(benchmark):
         "overhead_pct_of_cold_sweep": overhead_pct,
     }
     benchmark.extra_info.update(record)
-    BENCH_STUDY_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_bench(
+        BENCH_STUDY_PATH,
+        record,
+        repeats={"cold_sweep": cold_runs.seconds, "direct_warm": direct_runs.seconds, "study_warm": study_runs.seconds},
+    )
 
     emit(
         f"study dispatch overhead: {rows}-scenario inference grid, medians of {REPEATS} alternating runs\n"

@@ -15,11 +15,10 @@
 from __future__ import annotations
 
 import itertools
-import json
 import pathlib
 import time
 
-from conftest import emit
+from conftest import emit, write_bench
 
 from repro.core.engine import PerformancePredictionEngine
 from repro.hardware.accelerator import get_accelerator
@@ -159,7 +158,7 @@ def test_batched_backend_beats_scalar_loop(benchmark):
         "batched_us_per_gemm": batched_seconds / len(gemms) * 1e6,
     }
     benchmark.extra_info.update(record)
-    BENCH_BATCHED_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_bench(BENCH_BATCHED_PATH, record)
 
     emit(
         f"batched roofline backend: {len(gemms)} uncached GEMMs on {accelerator.name}\n"

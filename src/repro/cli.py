@@ -239,7 +239,8 @@ def _print_stats_line(name: str, headline: str, runner: SweepRunner) -> None:
         f"{stats['disk_hits']} disk hits, {stats['batched_scenarios']} batched, "
         f"{stats['errors']} errors, "
         f"key-hash {stats['keyhash_seconds']:.2f}s, plan {stats['plan_seconds']:.2f}s, "
-        f"price {stats['price_seconds']:.2f}s, scatter {stats['scatter_seconds']:.2f}s)",
+        f"price {stats['price_seconds']:.2f}s, scatter {stats['scatter_seconds']:.2f}s, "
+        f"record {stats['record_seconds']:.2f}s)",
         file=sys.stderr,
     )
 

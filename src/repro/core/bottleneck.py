@@ -57,10 +57,12 @@ def layer_gemms(
 def entries_from_points(gemms: List[GEMM], points: List[RooflinePoint]) -> List[GemmBottleneckEntry]:
     """Shape evaluated roofline points into the table's bottleneck rows.
 
-    The single row-assembly point of the bottleneck tables: both the scalar
-    path (:func:`prefill_gemm_table` / :func:`decode_gemm_table`) and the
-    cross-scenario batch planner (:mod:`repro.sweep.batchplan`) build their
-    entries here, so the two paths cannot drift apart.
+    The row assembly of the scalar path (:func:`prefill_gemm_table` /
+    :func:`decode_gemm_table`).  The cross-scenario batch planner
+    (:mod:`repro.sweep.batchplan`) builds the same entries straight from its
+    batch result's columns, one per distinct GEMM row, and every table of
+    the batch that prices that GEMM shares it; ``tests/sweep/test_batchplan.py``
+    pins the two paths to equal tables.
     """
     return [
         GemmBottleneckEntry(

@@ -243,6 +243,10 @@ class StepCostModel:
         # survive across simulations (and across the scenarios of a sweep
         # when the model instance is shared through the engine).
         self._tables: Dict[Tuple, _StepTables] = {}
+        # The same tables keyed by the model object's identity, each entry
+        # pinning its model so the id cannot be reused while it is here:
+        # every step after the first skips hashing the whole config.
+        self._tables_by_id: Dict[Tuple, Tuple[TransformerConfig, _StepTables]] = {}
         # Serializes creating, evicting and growing tables: one
         # StepCostModel is shared per system (engine_for), so the study
         # service's job threads price steps concurrently.  Reads stay
@@ -561,22 +565,28 @@ class StepCostModel:
     # -- length-indexed step tables (the serving-simulator backend) --------------------
 
     def _step_tables(self, model: TransformerConfig, tensor_parallel: int, precision: Precision) -> _StepTables:
-        """The step tables of one configuration, created on first use."""
+        """The step tables of one configuration, created on first use.
+
+        Equal (not just identical) configurations share one set of tables.
+        """
+        pinned = self._tables_by_id.get((id(model), tensor_parallel, precision))
+        if pinned is not None:
+            return pinned[1]
         key = (model, tensor_parallel, precision)
-        tables = self._tables.get(key)
-        if tables is None:
-            with self._table_lock:
-                tables = self._tables.get(key)
-                if tables is None:
-                    if len(self._tables) >= _MAX_TABLE_CONFIGS:
-                        # Evict the oldest configuration only: clearing
-                        # everything would throw away the warm tables of the
-                        # others.
-                        self._tables.pop(next(iter(self._tables)))
-                    tables = _StepTables(
-                        self.template(model, tensor_parallel, precision), self.tp_scope(tensor_parallel)
-                    )
-                    self._tables[key] = tables
+        with self._table_lock:
+            tables = self._tables.get(key)
+            if tables is None:
+                if len(self._tables) >= _MAX_TABLE_CONFIGS:
+                    # Evict the oldest configuration only: clearing
+                    # everything would throw away the warm tables of the
+                    # others.  Identity entries may name it, so they go.
+                    self._tables.pop(next(iter(self._tables)))
+                    self._tables_by_id = {}
+                tables = _StepTables(self.template(model, tensor_parallel, precision), self.tp_scope(tensor_parallel))
+                self._tables[key] = tables
+            if len(self._tables_by_id) >= _MAX_TABLE_CONFIGS:
+                self._tables_by_id = {}
+            self._tables_by_id[(id(model), tensor_parallel, precision)] = (model, tables)
         return tables
 
     def _cover(

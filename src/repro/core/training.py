@@ -24,7 +24,7 @@ GPU-generation scaling study (Fig. 5) and the validation table (Table 1).
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..caching import Memo
 from ..comm.fabric import CollectiveModel, shared_collective_model
@@ -121,13 +121,22 @@ class TrainingPerformanceModel:
         # only in PP, DP or recompute share its operators (and their cached
         # hashes).
         self._templates = Memo(max_size=256)
+        # Priced layers, keyed by (template operator tuple, repeat count):
+        # every step of one layer shape reads one sum and one set of (frozen)
+        # breakdown entries.
+        self._layer_times = Memo(max_size=512)
 
     # -- helpers -----------------------------------------------------------------
 
-    def _layer_time(self, ops: Sequence[Operator], count: int, entries: List[KernelTimeEntry]) -> float:
-        """Sum one layer's kernel times, appending each kernel's breakdown entry."""
+    def _layer_time(self, ops: Tuple[Operator, ...], count: int) -> Tuple[float, Tuple[KernelTimeEntry, ...]]:
+        """One layer's summed kernel time and its kernels' breakdown entries."""
+        key = (ops, count)
+        priced = self._layer_times.get(key)
+        if priced is not None:
+            return priced
         kernel_model = self.kernel_model
         total = 0.0
+        entries = []
         for op in ops:
             point = kernel_model.evaluate(op)
             time = point.time + kernel_model.overhead(op)
@@ -142,7 +151,7 @@ class TrainingPerformanceModel:
                     bytes_moved=dram_bytes(point, op),
                 )
             )
-        return total
+        return self._layer_times.put(key, (total, tuple(entries)))
 
     def _weight_update_time(self, plan: DistributedTrainingPlan) -> float:
         """Optimizer (Adam) update time: a DRAM-streaming pass over the states."""
@@ -252,10 +261,9 @@ class TrainingPerformanceModel:
         microbatches = mapping.num_microbatches
 
         # Per-layer kernel times, each entry aggregated over layers and micro-batches.
-        kernel_entries: List[KernelTimeEntry] = []
         repeats = layers_per_stage * microbatches
-        forward_layer = self._layer_time(plan.forward_ops, repeats, kernel_entries)
-        backward_layer = self._layer_time(plan.backward_ops, repeats, kernel_entries)
+        forward_layer, forward_entries = self._layer_time(plan.forward_ops, repeats)
+        backward_layer, backward_entries = self._layer_time(plan.backward_ops, repeats)
 
         tp_comm_layer = 0.0
         for op in plan.tp_comms:
@@ -318,5 +326,5 @@ class TrainingPerformanceModel:
             bubble_time=bubble_time,
             weight_update_time=weight_update_time,
             memory=memory,
-            kernel_breakdown=kernel_entries,
+            kernel_breakdown=[*forward_entries, *backward_entries],
         )

@@ -8,8 +8,8 @@ This module adds a *planning pass* in front of the runner's serial evaluation
 loop:
 
 1. :func:`plan_scenario` builds a scenario's workload graph without pricing
-   it, returning the GEMM queries the evaluation will make plus a closure
-   that assembles the final result.
+   it, returning the GEMM queries the evaluation will make (plus, for the
+   kinds a model's ``finish`` prices, a closure that calls it).
 2. :func:`price_plans` collects those queries across **all** plans sharing a
    gemm model and prices them in one
    :meth:`~repro.perf.batched.BatchedGemmTimeModel.evaluate_batch` call.
@@ -18,11 +18,15 @@ loop:
 
 The results are bit-for-bit identical to per-scenario evaluation: the batched
 backend mirrors the scalar model's floating-point operation order (the
-contract pinned by ``tests/perf/test_batched.py``), and every plan assembles
-its result either from the very :class:`~repro.perf.roofline.RooflinePoint`
-objects the batch materializes (columnar mode) or by running its normal
-assembly against a memo warmed with those points (warm mode).  Equivalence
-across scenario kinds is pinned by ``tests/sweep/test_batchplan.py``.
+contract pinned by ``tests/perf/test_batched.py``).  Bottleneck-table
+(columnar) plans gather their entries from one
+:class:`~repro.core.reports.GemmBottleneckEntry` per distinct batch row,
+which :func:`price_plans` builds straight from the result's columns without
+materializing a :class:`~repro.perf.roofline.RooflinePoint`; every table
+that prices the same GEMM on the same system shares that (frozen) entry.
+The other (warm) plans run their normal assembly against a memo warmed with
+the batch's points.  Equivalence across scenario kinds is pinned by
+``tests/sweep/test_batchplan.py``.
 
 Inference and training scenarios are planned by their model's ``plan()`` and
 assembled by its ``finish(plan)``: the two halves of the direct ``predict``,
@@ -32,7 +36,8 @@ every TP/PP/DP collective of a generation of
 :class:`~repro.core.training.TrainingPlan` objects, prices the GEMMs in one
 :meth:`evaluate_batch` per gemm model and the collectives in one
 :meth:`CollectiveModel.evaluate_batch` per collective model, and seeds the
-shared memos ``finish`` then reads.
+shared memos ``finish`` then reads; ``finish`` sums each layer shape's
+kernels once per training model, not once per step.
 
 The bottleneck-table kinds (prefill/decode GEMM tables, the training-layer
 bound split) take their GEMMs from the
@@ -51,7 +56,7 @@ from __future__ import annotations
 
 import dataclasses
 import time as _time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -100,11 +105,14 @@ class BatchTimings:
         price_seconds: The vectorized pricing calls (:func:`price_plans`).
         scatter_seconds: Result assembly, plus the ``evaluate_scenario``
             fallback of unbatchable kinds.
+        record_seconds: The ``on_outcome`` callbacks (the caller's
+            recording of each outcome).
     """
 
     plan_seconds: float = 0.0
     price_seconds: float = 0.0
     scatter_seconds: float = 0.0
+    record_seconds: float = 0.0
 
 
 @dataclasses.dataclass
@@ -117,14 +125,16 @@ class ScenarioPlan:
             evaluation prices kernels through; plans are grouped by this
             object so one batch warms one memo.
         gemms: Every GEMM query the evaluation will make.
-        columnar: Assembly mode.  Columnar plans consume the batch result's
-            rows directly (``assemble(result, rows)``); warm plans price
-            their already-built workload against the seeded shared memos
-            (``assemble()``).
-        assemble: The result-assembly closure (see ``columnar``).
+        columnar: Assembly mode.  Columnar (bottleneck-table) plans gather
+            their result from :attr:`entries`; warm plans price their
+            already-built workload against the seeded shared memos.
+        assemble: The warm plans' result-assembly closure (``None`` for
+            columnar plans).
         rows: Row indices of :attr:`gemms` inside the shared batch
             (columnar plans only; filled by :func:`price_plans`).
-        result: The shared batch result (columnar plans only).
+        entries: One bottleneck entry per batch row a columnar plan reads,
+            shared by every columnar plan of the batch (filled by
+            :func:`price_plans`).
         collective_model: The (shared, memoizing) collective model the
             scenario's evaluation prices communication through (training
             plans only); collective queries are grouped by this object.
@@ -136,16 +146,17 @@ class ScenarioPlan:
     gemm_model: GemmTimeModel
     gemms: List[GEMM]
     columnar: bool
-    assemble: Callable[..., object]
+    assemble: Optional[Callable[[], object]] = None
     rows: Optional[List[int]] = None
-    result: Optional[BatchedRooflineResult] = None
+    entries: Optional[List[GemmBottleneckEntry]] = None
     collective_model: Optional[CollectiveModel] = None
     comm_ops: Optional[List[CommunicationOp]] = None
 
     def finish(self) -> object:
         """Assemble the final result object (after :func:`price_plans`)."""
         if self.columnar:
-            return self.assemble(self.result, self.rows)
+            entries = self.entries
+            return [entries[row] for row in self.rows]
         return self.assemble()
 
 
@@ -184,7 +195,7 @@ def plan_scenario(scenario: Scenario) -> Optional[ScenarioPlan]:
             use_kv_cache=False,
             templates=_TEMPLATES,
         )
-        return _columnar_plan(scenario, engine.kernel_model.gemm_model, gemms)
+        return ScenarioPlan(scenario, engine.kernel_model.gemm_model, gemms, columnar=True)
     if kind is ScenarioKind.DECODE_BOTTLENECKS:
         engine = engine_for(scenario.system)
         gemms = layer_gemms(
@@ -197,7 +208,7 @@ def plan_scenario(scenario: Scenario) -> Optional[ScenarioPlan]:
             use_kv_cache=True,
             templates=_TEMPLATES,
         )
-        return _columnar_plan(scenario, engine.kernel_model.gemm_model, gemms)
+        return ScenarioPlan(scenario, engine.kernel_model.gemm_model, gemms, columnar=True)
     if kind is ScenarioKind.ATTENTION_BOUND:
         engine = engine_for(scenario.system)
         gemms = attention_layer_gemms(
@@ -268,29 +279,27 @@ def plan_scenario(scenario: Scenario) -> Optional[ScenarioPlan]:
     return None
 
 
-def _entries_from_rows(
-    gemms: List[GEMM], result: BatchedRooflineResult, rows: List[int]
-) -> List[GemmBottleneckEntry]:
-    """Assemble bottleneck-table entries straight from batch-result rows.
+def _entries_from_rows(gemms: List[GEMM], result: BatchedRooflineResult) -> List[GemmBottleneckEntry]:
+    """One bottleneck-table entry per leading batch row: ``gemms[i]`` was priced in row ``i``.
 
-    Produces exactly what ``entries_from_points(gemms, evaluate_many(gemms))``
-    would, without materializing :class:`RooflinePoint` objects: the row's
+    Each entry equals what ``entries_from_points`` makes of the row's
+    scalar :class:`RooflinePoint`, without materializing one: the row's
     ``kernel_time`` *is* ``point.time`` (same max over the same floats), the
     bound code maps to the same enum, and the arithmetic intensity replicates
     :attr:`RooflinePoint.arithmetic_intensity` -- ``flops / DRAM bytes``,
     falling back to the level sum (in level order, matching the scalar
     ``sum()``) when no level is named ``DRAM``, and ``inf`` on zero bytes.
     """
-    index = np.asarray(rows, dtype=np.intp)
-    times = result.kernel_time[index].tolist()
-    codes = result.bound_codes[index].tolist()
-    flops = result.flops[index].tolist()
+    count = len(gemms)
+    times = result.kernel_time[:count].tolist()
+    codes = result.bound_codes[:count].tolist()
+    flops = result.flops[:count].tolist()
     if "DRAM" in result.level_names:
-        dram_bytes = result.level_bytes["DRAM"][index]
+        dram_bytes = result.level_bytes["DRAM"][:count]
     else:
-        dram_bytes = np.zeros(len(index), dtype=np.float64)
+        dram_bytes = np.zeros(count, dtype=np.float64)
         for name in result.level_names:
-            dram_bytes = dram_bytes + result.level_bytes[name][index]
+            dram_bytes = dram_bytes + result.level_bytes[name][:count]
     dram_bytes = dram_bytes.tolist()
     return [
         GemmBottleneckEntry(
@@ -307,17 +316,6 @@ def _entries_from_rows(
     ]
 
 
-def _columnar_plan(scenario: Scenario, gemm_model: GemmTimeModel, gemms: List[GEMM]) -> ScenarioPlan:
-    """A bottleneck-table plan: entries assembled straight from batch rows."""
-
-    def assemble(result: Optional[BatchedRooflineResult], rows: List[int], gemms=gemms) -> object:
-        return _entries_from_rows(gemms, result, rows)
-
-    return ScenarioPlan(
-        scenario=scenario, gemm_model=gemm_model, gemms=gemms, columnar=True, assemble=assemble
-    )
-
-
 # ---------------------------------------------------------------------------
 # Pricing: all plans' GEMMs in one batched call per gemm model.
 # ---------------------------------------------------------------------------
@@ -327,7 +325,8 @@ def price_plans(plans: Sequence[ScenarioPlan]) -> None:
     """Price every plan's queries, one batched call per query family.
 
     GEMMs: columnar plans receive their deduplicated row indices and the
-    shared batch result; warm plans get the shared memo of their gemm model
+    batch's shared per-row entries (their rows come first in the batch, and
+    each gets one entry); warm plans get the shared memo of their gemm model
     seeded with every point their assembly will ask for (rows already
     memoized are skipped -- the memo'd points are identical by the backend's
     exact-equality contract).  Collectives (training plans): one
@@ -344,38 +343,41 @@ def price_plans(plans: Sequence[ScenarioPlan]) -> None:
         gemm_model = models[group_id]
         rows: List[GEMM] = []
         index_of: Dict[GEMM, int] = {}
+        columnar = [plan for plan in group if plan.columnar]
+        for plan in columnar:
+            plan.rows = plan_rows = []
+            for gemm in plan.gemms:
+                index = index_of.get(gemm)
+                if index is None:
+                    index = index_of[gemm] = len(rows)
+                    rows.append(gemm)
+                plan_rows.append(index)
+        # Every row so far is one a columnar plan reads; warm plans' rows follow.
+        table_rows = len(rows)
         memoize_rows: List[int] = []
         memoize_seen: set = set()
         for plan in group:
             if plan.columnar:
-                plan.rows = []
-                for gemm in plan.gemms:
-                    index = index_of.get(gemm)
-                    if index is None:
-                        index = len(rows)
-                        rows.append(gemm)
-                        index_of[gemm] = index
-                    plan.rows.append(index)
-            else:
-                for gemm in plan.gemms:
-                    if gemm_model.memoized(gemm):
-                        continue
-                    index = index_of.get(gemm)
-                    if index is None:
-                        index = len(rows)
-                        rows.append(gemm)
-                        index_of[gemm] = index
-                    if index not in memoize_seen:
-                        memoize_seen.add(index)
-                        memoize_rows.append(index)
+                continue
+            for gemm in plan.gemms:
+                if gemm_model.memoized(gemm):
+                    continue
+                index = index_of.get(gemm)
+                if index is None:
+                    index = index_of[gemm] = len(rows)
+                    rows.append(gemm)
+                if index not in memoize_seen:
+                    memoize_seen.add(index)
+                    memoize_rows.append(index)
         if not rows:
             continue
         result = gemm_model.batched.evaluate_batch(GemmBatch.from_gemms(rows))
         for index in memoize_rows:
             gemm_model.memoize(rows[index], result.point_at(index))
-        for plan in group:
-            if plan.columnar:
-                plan.result = result
+        if columnar:
+            entries = _entries_from_rows(rows[:table_rows], result)
+            for plan in columnar:
+                plan.entries = entries
     comm_groups: Dict[int, List[ScenarioPlan]] = {}
     collective_models: Dict[int, CollectiveModel] = {}
     for plan in plans:
@@ -421,7 +423,8 @@ def evaluate_pending_batched(
 
     When ``timings`` is given, the wall-clock seconds of each cold-path
     stage are accumulated onto it (plan/price land before the scatter loop
-    starts, so an interrupted generation still reports its batched stages).
+    starts, so an interrupted generation still reports its batched stages;
+    time inside ``on_outcome`` counts as ``record_seconds``, not scatter).
     When ``on_outcome`` is given it fires once per outcome, in input order,
     as each one is assembled -- the runner's serial path uses it to persist
     completed results before an interrupt can lose them (unbatchable
@@ -429,7 +432,8 @@ def evaluate_pending_batched(
     streaming there is what makes ``repro run`` resumable mid-study).
     """
     outcomes: Dict[str, Optional[BatchOutcome]] = {}
-    planned: List[Tuple[str, ScenarioPlan]] = []
+    planned_keys: List[str] = []
+    plans: List[ScenarioPlan] = []
     started = _time.perf_counter()
     for key, scenario in pending.items():
         try:
@@ -440,19 +444,21 @@ def evaluate_pending_batched(
         if plan is None:
             outcomes[key] = None  # falls back to evaluate_scenario below
         else:
-            planned.append((key, plan))
+            planned_keys.append(key)
+            plans.append(plan)
     priced = _time.perf_counter()
-    price_plans([plan for _, plan in planned])
+    price_plans(plans)
     scattered = _time.perf_counter()
     if timings is not None:
         timings.plan_seconds += priced - started
         timings.price_seconds += scattered - priced
-    for key, plan in planned:
+    for key, plan in zip(planned_keys, plans):
         try:
             outcomes[key] = BatchOutcome(key=key, value=plan.finish(), batched=True)
         except ReproError as error:
             outcomes[key] = BatchOutcome(key=key, error=error, batched=True)
     ordered: List[BatchOutcome] = []
+    record_seconds = 0.0
     try:
         for key, scenario in pending.items():
             outcome = outcomes[key]
@@ -463,9 +469,14 @@ def evaluate_pending_batched(
                     outcome = BatchOutcome(key=key, error=error)
             ordered.append(outcome)
             if on_outcome is not None:
-                on_outcome(outcome)
+                handed = _time.perf_counter()
+                try:
+                    on_outcome(outcome)
+                finally:
+                    record_seconds += _time.perf_counter() - handed
     finally:
         if timings is not None:
-            timings.scatter_seconds += _time.perf_counter() - scattered
+            timings.scatter_seconds += _time.perf_counter() - scattered - record_seconds
+            timings.record_seconds += record_seconds
     return ordered
 

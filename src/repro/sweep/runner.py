@@ -93,6 +93,9 @@ class SweepStats:
         scatter_seconds: Cold-path seconds spent assembling results (and
             running the ``evaluate_scenario`` fallback of unbatchable
             kinds).
+        record_seconds: Cold-path seconds spent recording batched outcomes:
+            the result cache and disk-store writes and the caller's
+            ``on_result``.
         keyhash_seconds: Seconds spent computing scenario cache keys
             (:func:`~repro.sweep.scenario.cache_keys`) in :meth:`run`.
     """
@@ -105,6 +108,7 @@ class SweepStats:
     plan_seconds: float = 0.0
     price_seconds: float = 0.0
     scatter_seconds: float = 0.0
+    record_seconds: float = 0.0
     keyhash_seconds: float = 0.0
 
     def snapshot(self) -> Dict[str, object]:
@@ -113,13 +117,19 @@ class SweepStats:
 
 
 class _CacheEntry:
-    """A cached evaluation: either a value or the library error it raised."""
+    """A cached evaluation: either a value or the library error it raised.
+
+    The error is kept without its traceback, as a disk-store copy is: the
+    traceback's frames link back through every caller of the evaluation, so
+    a cached one would pin the whole generation's plans and outcomes for as
+    long as the entry stays cached.
+    """
 
     __slots__ = ("value", "error")
 
     def __init__(self, value: object = None, error: Optional[ReproError] = None):
         self.value = value
-        self.error = error
+        self.error = None if error is None else error.with_traceback(None)
 
 
 class SweepRunner:
@@ -417,6 +427,7 @@ class SweepRunner:
                     self.stats.plan_seconds += timings.plan_seconds
                     self.stats.price_seconds += timings.price_seconds
                     self.stats.scatter_seconds += timings.scatter_seconds
+                    self.stats.record_seconds += timings.record_seconds
             return fresh
         for key, scenario in pending.items():
             record(key, self._evaluate_one(scenario))

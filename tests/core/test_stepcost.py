@@ -1,5 +1,6 @@
 """Tests for the step-cost layer (prefill / decode steps over mixed batches)."""
 
+import dataclasses
 import random
 import sys
 import threading
@@ -10,6 +11,7 @@ from repro.core.stepcost import StepCost, StepCostModel, ZERO_STEP
 from repro.errors import ConfigurationError
 from repro.hardware.cluster import build_system
 from repro.hardware.datatypes import Precision
+from repro.models.transformer import TransformerConfig
 from repro.models.zoo import get_model
 
 
@@ -383,3 +385,28 @@ def test_shared_model_prices_exactly_past_the_configuration_bound(system):
         job_lists.append(_thread_jobs(rng, rng.sample(visits, len(visits)), longest=300))
     shared = _assert_threads_match_serial(system, job_lists)
     assert len(shared._tables) <= 64
+
+
+def test_steps_hash_the_config_once_per_model_object(system, model, monkeypatch):
+    # The tables are found by the model object's identity after its first
+    # step, so a fleet's thousands of steps do not rehash the whole config.
+    hashes = []
+    value_hash = TransformerConfig.__hash__
+    monkeypatch.setattr(TransformerConfig, "__hash__", lambda config: hashes.append(config) or value_hash(config))
+    fresh = StepCostModel(system=system)
+    first = fresh.prefill_step(model, [64, 32])
+    first_hashes = len(hashes)
+    assert first_hashes >= 1  # the first step finds (or makes) the tables by value
+    for _ in range(50):
+        assert fresh.prefill_step(model, [64, 32]) == first
+        fresh.decode_run(model, [100, 200], 8)
+    assert len(hashes) == first_hashes
+    # An equal but distinct config shares the tables, at one more hash.
+    twin = dataclasses.replace(model)
+    assert twin is not model
+    assert fresh.prefill_step(twin, [64, 32]) == first
+    assert fresh._step_tables(twin, 1, Precision.FP16) is fresh._step_tables(model, 1, Precision.FP16)
+    assert len(fresh._tables) == 1
+    # A different TP degree is a different configuration.
+    fresh.prefill_step(model, [64], tensor_parallel=2)
+    assert len(fresh._tables) == 2

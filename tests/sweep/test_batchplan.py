@@ -12,7 +12,7 @@ import pytest
 from repro.core.bottleneck import layer_gemms
 from repro.errors import MemoryCapacityError, ReproError
 from repro.hardware.datatypes import Precision
-from repro.sweep import Scenario, SweepRunner, evaluate_scenario, expand_grid
+from repro.sweep import Scenario, SweepRunner, clear_engine_cache, evaluate_scenario, expand_grid
 from repro.sweep.batchplan import clear_plan_caches, evaluate_pending_batched, plan_scenario
 
 
@@ -77,6 +77,43 @@ def test_inference_is_bit_identical(decode_mode, tiny_model):
     assert batched.stats.batched_scenarios == len(scenarios)
     for ours, theirs in zip(batched_results, reference_results):
         assert ours.value == theirs.value
+
+
+def test_decode_tables_share_one_entry_per_distinct_gemm_row(tiny_model, tiny_swiglu_model):
+    # Tables of one system that price the same GEMM (the token GEMMs across
+    # KV lengths, everything across duplicate shapes) share its entry.
+    scenarios = [
+        Scenario.decode_bottlenecks(
+            combo["system"],
+            combo["model"],
+            batch_size=combo["batch_size"],
+            kv_len=combo["kv_len"],
+            tensor_parallel=combo["tensor_parallel"],
+        )
+        for combo in expand_grid(
+            system=["A100", "H100"],
+            model=[tiny_model, tiny_swiglu_model],
+            batch_size=[1, 4],
+            kv_len=[1, 64, 200],
+            tensor_parallel=[1, 2],
+        )
+    ]
+    clear_engine_cache()
+    clear_plan_caches()
+    batched, batched_results, _, reference_results = _run_both(scenarios)
+    assert batched.stats.batched_scenarios == len(scenarios)
+    for ours, theirs in zip(batched_results, reference_results):
+        assert ours.value == theirs.value
+    rows = {
+        (scenario.system.name, gemm)
+        for scenario in scenarios
+        for gemm in layer_gemms(
+            scenario.model, scenario.batch_size, 1, scenario.kv_len, scenario.tensor_parallel, Precision.FP16, True
+        )
+    }
+    entries = {id(entry) for result in batched_results for entry in result.value}
+    assert sum(len(result.value) for result in batched_results) > len(rows)
+    assert len(entries) == len(rows)
 
 
 def test_mixed_kinds_interleave_batched_and_fallback(tiny_model):

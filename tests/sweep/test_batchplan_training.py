@@ -2,12 +2,16 @@
 
 import pytest
 
+from repro.caching import Memo
+from repro.core.engine import PerformancePredictionEngine
 from repro.hardware.cluster import build_system
 from repro.hardware.datatypes import Precision
+from repro.perf.kernels import DeviceKernelModel
 from repro.sweep import (
     BatchTimings,
     Scenario,
     SweepRunner,
+    batchplan,
     clear_engine_cache,
     engine_for,
     evaluate_pending_batched,
@@ -116,6 +120,57 @@ def test_engine_templates_are_dropped_with_the_engines(tiny_model):
     assert cold.prefill_ops == first.prefill_ops
 
 
+def test_training_prices_each_layer_shape_once(tiny_model, monkeypatch):
+    # DP * TP * PP = 8 devices at a fixed global batch: every split of one TP
+    # degree has the same layer shape and the same per-layer repeat count.
+    scenarios = [
+        Scenario.training(
+            "A100x8", tiny_model, f"{8 // (tp * pp)}-{tp}-{pp}-1", global_batch_size=16, recompute=recompute
+        )
+        for tp in (1, 2)
+        for pp in (1, 2, 4)
+        for recompute in ("selective", "full")
+    ]
+    evaluations = []
+    evaluate = DeviceKernelModel.evaluate
+    monkeypatch.setattr(
+        DeviceKernelModel, "evaluate", lambda model, op: evaluations.append(op) or evaluate(model, op)
+    )
+    clear_engine_cache()
+    results = SweepRunner(batch_planning=True).run(scenarios)
+    plans = {}
+    for scenario in scenarios:
+        plan = engine_for(scenario.system).training_model.plan(
+            scenario.model, scenario.parallelism, global_batch_size=16, recompute=scenario.recompute
+        )
+        plans[plan.forward_ops] = len(plan.forward_ops) + len(plan.backward_ops)
+    assert len(plans) == 2  # one layer shape per TP degree
+    assert 0 < len(evaluations) <= sum(plans.values())
+    for scenario, result in zip(scenarios, results):
+        direct = PerformancePredictionEngine(scenario.system).training_model.predict(
+            scenario.model, scenario.parallelism, global_batch_size=16, recompute=scenario.recompute
+        )
+        assert result.value.to_dict() == direct.to_dict()
+
+
+def test_layer_prices_are_bounded_and_dropped_with_the_engines(tiny_model):
+    system = build_system("A100", num_devices=8)
+    parallelism = Scenario.training(system, tiny_model, "2-2-2-1", global_batch_size=16).parallelism
+    clear_engine_cache()
+    training_model = engine_for(system).training_model
+    assert isinstance(training_model._layer_times, Memo)
+    assert len(training_model._layer_times) == 0
+    first = training_model.predict(tiny_model, parallelism, global_batch_size=16)
+    assert len(training_model._layer_times) == 2  # the forward and the backward layer
+    again = training_model.predict(tiny_model, parallelism, global_batch_size=16)
+    assert again.kernel_breakdown == first.kernel_breakdown
+    assert all(a is b for a, b in zip(again.kernel_breakdown, first.kernel_breakdown))
+    clear_engine_cache()
+    cold = engine_for(system).training_model
+    assert cold is not training_model
+    assert len(cold._layer_times) == 0
+
+
 # ---------------------------------------------------------------------------
 # A mixed batched generation through the disk store.
 # ---------------------------------------------------------------------------
@@ -174,3 +229,38 @@ def test_runner_stats_surface_stage_timings(tiny_model):
     assert snapshot["plan_seconds"] > 0.0
     assert snapshot["price_seconds"] > 0.0
     assert snapshot["scatter_seconds"] > 0.0
+
+
+class _FakeClock:
+    """A ``perf_counter`` stand-in that advances one millisecond per reading."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += 0.001
+        return self.now
+
+
+def test_callback_time_is_record_not_scatter(tiny_model, monkeypatch):
+    clock = _FakeClock()
+    monkeypatch.setattr(batchplan, "_time", clock)
+    scenarios = [Scenario.decode_bottlenecks("A100", tiny_model, kv_len=kv) for kv in range(10, 20)]
+    calls = []
+
+    def slow_callback(outcome_or_result):
+        calls.append(outcome_or_result)
+        clock.now += 10.0  # a ten-second disk write, say
+
+    timings = BatchTimings()
+    evaluate_pending_batched({s.cache_key(): s for s in scenarios}, timings=timings, on_outcome=slow_callback)
+    assert len(calls) == len(scenarios)
+    assert timings.record_seconds >= 10.0 * len(scenarios)
+    assert timings.scatter_seconds < 1.0
+    # Through the runner: its recording and the caller's on_result are record time.
+    runner = SweepRunner(batch_planning=True)
+    runner.run(scenarios, on_result=slow_callback)
+    assert len(calls) == 2 * len(scenarios)
+    stats = runner.stats.snapshot()
+    assert stats["record_seconds"] >= 10.0 * len(scenarios)
+    assert stats["scatter_seconds"] < 1.0
