@@ -1,19 +1,19 @@
 """System-level collective pricing: pick the fabric, apply utilization, add overheads.
 
 The :class:`CollectiveModel` is the bridge between the abstract
-:class:`~repro.workload.operators.CommunicationOp` descriptors of a task
-graph and the analytical collective equations.  It selects the right fabric
-(intra-node NVLink vs. inter-node InfiniBand/NVS) for the operation's scope,
-applies a data-volume-dependent bandwidth-utilization factor (small inference
-messages never saturate the links), and adds a fixed per-collective software
-launch overhead (the NCCL/runtime cost that dominates kilobyte-sized
-all-reduces).
+:class:`~repro.workload.operators.CommunicationOp` descriptors that layer
+templates render and the analytical collective equations.  It selects the
+right fabric (intra-node NVLink vs. inter-node InfiniBand/NVS) for the
+operation's scope, applies a data-volume-dependent bandwidth-utilization
+factor (small inference messages never saturate the links), and adds a fixed
+per-collective software launch overhead (the NCCL/runtime cost that dominates
+kilobyte-sized all-reduces).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -213,8 +213,8 @@ class CollectiveModel:
         the scalar floating-point operation order exactly (trivial rows are
         ``0.0``, with no software latency, like the scalar early return).
         The memo is neither read nor written -- callers that want seeding
-        combine this with :meth:`memoized` / :meth:`memoize` (see
-        :meth:`time_batch`).
+        combine this with :meth:`memoized` / :meth:`memoize`, as the sweep
+        batch planner does.
         """
         times = np.zeros(len(batch), dtype=np.float64)
         active = ~((batch.group_sizes <= 1.0) | (batch.data_bytes == 0.0))
@@ -256,51 +256,13 @@ class CollectiveModel:
             times[mask] = base + self.software_latency
         return times
 
-    def time_batch(self, ops: Sequence[CommunicationOp]) -> List[float]:
-        """Times of many operators: memo-served where possible, one
-        :meth:`evaluate_batch` call for the rest (which then seeds the memo,
-        exactly like repeated :meth:`time` calls would)."""
-        times: List[Optional[float]] = [None] * len(ops)
-        missing: List[CommunicationOp] = []
-        missing_rows: Dict[CommunicationOp, int] = {}
-        for index, op in enumerate(ops):
-            if op.is_trivial:
-                times[index] = 0.0
-                continue
-            cached = self._time_cache.get(op)
-            if cached is not None:
-                times[index] = cached
-            elif op not in missing_rows:
-                missing_rows[op] = len(missing)
-                missing.append(op)
-        if missing:
-            fresh = self.evaluate_batch(CollectiveBatch.from_ops(missing))
-            fresh_times = fresh.tolist()
-            for op, row in missing_rows.items():
-                self._time_cache.put(op, fresh_times[row])
-            for index, op in enumerate(ops):
-                if times[index] is None:
-                    times[index] = fresh_times[missing_rows[op]]
-        return times  # type: ignore[return-value]  # every row was filled above
-
     def all_reduce(self, data_bytes: float, group_size: int, scope: str = "intra_node") -> float:
-        """Convenience: time of a raw all-reduce outside a task graph."""
+        """Convenience: time of a raw all-reduce, given by size instead of an operator."""
         op = CommunicationOp(
             name="all_reduce",
             collective=CollectiveKind.ALL_REDUCE,
             data_bytes=data_bytes,
             group_size=group_size,
-            scope=scope,
-        )
-        return self.time(op)
-
-    def point_to_point(self, data_bytes: float, scope: str = "inter_node") -> float:
-        """Convenience: time of a raw point-to-point transfer."""
-        op = CommunicationOp(
-            name="p2p",
-            collective=CollectiveKind.POINT_TO_POINT,
-            data_bytes=data_bytes,
-            group_size=2,
             scope=scope,
         )
         return self.time(op)

@@ -4,7 +4,7 @@ The technology-scaling case studies built on them (paper Figs. 6 and 9) are
 registered studies in :mod:`repro.studies.paper`.
 """
 
-from .search import GradientDescentSearch, SearchResult, optimize_allocation
+from .search import GradientDescentSearch, SearchResult
 from .space import DesignPoint, DesignSpace
 
 __all__ = [
@@ -12,5 +12,4 @@ __all__ = [
     "DesignSpace",
     "GradientDescentSearch",
     "SearchResult",
-    "optimize_allocation",
 ]

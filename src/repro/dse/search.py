@@ -9,18 +9,16 @@ fraction), a numerical-gradient coordinate descent with shrinking step sizes
 is both simple and robust; discrete dimensions are handled by enumerating
 the design-space grid as starting points.
 
-Each descent iteration generates every gradient probe (both directions of
-every continuous knob) up front and evaluates the uncached ones in **one**
-batched call when a ``batch_objective`` is supplied -- the scaling studies
-route that call through the sweep runner, which deduplicates probes and
-evaluates the underlying GEMM grids through the vectorized roofline backend.
+Each objective evaluation is cached per design point for the whole search, so
+a probe revisited from a later iteration or starting point costs nothing, and
+an infeasible point is recorded as infinitely expensive.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ReproError, SearchError
 from .space import DesignPoint, DesignSpace
@@ -29,9 +27,6 @@ logger = logging.getLogger(__name__)
 
 #: Objective: maps a design point to a cost (seconds); lower is better.
 Objective = Callable[[DesignPoint], float]
-#: Batched objective: maps a list of design points to one cost each; returns
-#: ``float("inf")`` for infeasible points instead of raising.
-BatchObjective = Callable[[Sequence[DesignPoint]], Sequence[float]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,16 +84,9 @@ class GradientDescentSearch:
         initial_step: Initial step size applied to the area fractions.
         min_step: Search terminates once the step shrinks below this value.
         max_iterations: Hard cap on descent iterations per starting point.
-        batch_objective: Optional vectorized objective; when given, every
-            descent iteration evaluates its uncached gradient probes in one
-            call instead of one objective call per probe.  Must return
-            ``float("inf")`` for infeasible points instead of raising.
 
-    Every iteration generates all (at most six) gradient probes up front and
-    moves to the best strictly-improving one.  This eager probing is what the
-    batched call needs, and it is applied in the serial path too -- on
-    purpose, so the descent trajectory is identical with and without a batch
-    objective (the probe cache keeps re-visited points free either way).
+    Every iteration evaluates all (at most six) gradient probes and moves to
+    the best strictly-improving one, or halves the step when none improves.
     """
 
     def __init__(
@@ -107,13 +95,11 @@ class GradientDescentSearch:
         initial_step: float = 0.10,
         min_step: float = 0.01,
         max_iterations: int = 40,
-        batch_objective: Optional[BatchObjective] = None,
     ):
         self.space = space
         self.initial_step = initial_step
         self.min_step = min_step
         self.max_iterations = max_iterations
-        self.batch_objective = batch_objective
 
     # -- internals --------------------------------------------------------------
 
@@ -135,28 +121,6 @@ class GradientDescentSearch:
             cache[point] = record
         return record.cost
 
-    def _evaluate_probes(
-        self,
-        objective: Objective,
-        probes: List[DesignPoint],
-        cache: Dict[DesignPoint, EvaluationRecord],
-    ) -> None:
-        """Evaluate the uncached probes, batched when a batch objective exists."""
-        pending = [probe for probe in dict.fromkeys(probes) if probe not in cache]
-        if not pending:
-            return
-        if self.batch_objective is None:
-            for probe in pending:
-                self._evaluate(objective, probe, cache)
-            return
-        costs = list(self.batch_objective(pending))
-        if len(costs) != len(pending):
-            raise SearchError(
-                f"batch objective returned {len(costs)} costs for {len(pending)} design points"
-            )
-        for probe, cost in zip(pending, costs):
-            cache[probe] = EvaluationRecord(cost=float(cost))
-
     def _descend(
         self,
         objective: Objective,
@@ -171,9 +135,6 @@ class GradientDescentSearch:
         iteration = 0
         while step >= self.min_step and iteration < self.max_iterations:
             iteration += 1
-            # Generate every gradient probe of this iteration up front and
-            # evaluate the uncached ones in one batched call, then move to
-            # the best strictly-improving probe (or shrink the step).
             probes = []
             for knob in knobs:
                 current_value = getattr(point, knob)
@@ -181,7 +142,6 @@ class GradientDescentSearch:
                     candidate = self.space.clip(point.perturbed(**{knob: current_value + direction * step}))
                     if candidate != point:
                         probes.append(candidate)
-            self._evaluate_probes(objective, probes, cache)
             best_candidate: Optional[DesignPoint] = None
             best_cost = cost
             for candidate in probes:
@@ -239,20 +199,3 @@ class GradientDescentSearch:
             evaluations=evaluations,
             history=tuple(full_history),
         )
-
-
-def optimize_allocation(
-    objective: Objective,
-    space: Optional[DesignSpace] = None,
-    base_point: Optional[DesignPoint] = None,
-    batch_objective: Optional[BatchObjective] = None,
-) -> SearchResult:
-    """Optimize only the continuous allocation knobs around ``base_point``.
-
-    This is the per-technology-node optimization the scaling study performs:
-    for a fixed node / memory / network choice, find the best area/power split.
-    """
-    space = space or DesignSpace()
-    base = base_point or DesignPoint()
-    search = GradientDescentSearch(space, batch_objective=batch_objective)
-    return search.search(objective, starting_points=[base])

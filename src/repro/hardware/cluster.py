@@ -63,17 +63,6 @@ class SystemSpec:
         """Fabric between the devices of one node."""
         return self.node.intra_node_fabric
 
-    def fabric_for_group(self, group_size: int) -> Interconnect:
-        """Return the fabric a communication group of ``group_size`` devices uses.
-
-        Groups that fit inside one node (e.g. tensor parallelism) use the
-        intra-node fabric; larger groups cross node boundaries and are
-        limited by the inter-node fabric.
-        """
-        if group_size <= self.node.devices_per_node:
-            return self.node.intra_node_fabric
-        return self.inter_node_fabric
-
     def with_accelerator(self, accelerator: AcceleratorSpec, name: Optional[str] = None) -> "SystemSpec":
         """Return a copy of this system with every device replaced."""
         node = dataclasses.replace(self.node, accelerator=accelerator)

@@ -1,16 +1,16 @@
-"""Parallelization strategies: DP, TP (Megatron), PP schedules, and SP."""
+"""Parallelization strategies: DP, TP (Megatron) and PP schedules.
+
+Sequence parallelism (SP) is a flag on :class:`ParallelismConfig`; its
+modelled effects -- sharded norm/dropout operators and activations -- live in
+:class:`~repro.workload.transformer_layer.LayerTemplate` and
+:mod:`repro.memmodel.activations`.
+"""
 
 from .config import ParallelismConfig, parse_parallelism_label
 from .data_parallel import DataParallelPlan
 from .mapper import DistributedTrainingPlan, ParallelizationMapper
-from .megatron import (
-    TensorParallelShard,
-    shard_summary,
-    tp_backward_communication_volume,
-    tp_forward_communication_volume,
-)
+from .megatron import TensorParallelShard
 from .pipeline import PipelineSchedule, bubble_fraction, pipeline_p2p_volume_per_microbatch
-from .sequence import SequenceParallelPlan
 
 __all__ = [
     "DataParallelPlan",
@@ -18,12 +18,8 @@ __all__ = [
     "ParallelismConfig",
     "ParallelizationMapper",
     "PipelineSchedule",
-    "SequenceParallelPlan",
     "TensorParallelShard",
     "bubble_fraction",
     "parse_parallelism_label",
     "pipeline_p2p_volume_per_microbatch",
-    "shard_summary",
-    "tp_backward_communication_volume",
-    "tp_forward_communication_volume",
 ]

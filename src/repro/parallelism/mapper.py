@@ -24,7 +24,6 @@ from .config import ParallelismConfig
 from .data_parallel import DataParallelPlan
 from .megatron import TensorParallelShard
 from .pipeline import PipelineSchedule, pipeline_p2p_volume_per_microbatch
-from .sequence import SequenceParallelPlan
 
 
 @dataclasses.dataclass(frozen=True)
@@ -42,7 +41,6 @@ class DistributedTrainingPlan:
         num_microbatches: Micro-batches per pipeline per step.
         pipeline: The pipeline schedule with its bubble model.
         data_parallel_plan: The DP gradient-synchronization plan.
-        sequence_parallel_plan: The SP activation-sharding plan.
         tp_scope: Fabric scope of tensor-parallel collectives.
         dp_scope: Fabric scope of data-parallel collectives.
         pp_scope: Fabric scope of pipeline point-to-point transfers.
@@ -58,7 +56,6 @@ class DistributedTrainingPlan:
     num_microbatches: int
     pipeline: PipelineSchedule
     data_parallel_plan: DataParallelPlan
-    sequence_parallel_plan: SequenceParallelPlan
     tp_scope: str
     dp_scope: str
     pp_scope: str
@@ -163,10 +160,6 @@ class ParallelizationMapper:
             gradient_precision=precision,
             include_embedding=parallelism.pipeline_parallel == 1,
         )
-        sp_plan = SequenceParallelPlan(
-            enabled=parallelism.sequence_parallel,
-            tensor_parallel=parallelism.tensor_parallel,
-        )
 
         # TP (and SP) groups are always placed within a node; DP and PP groups
         # span nodes as soon as the job uses more than one node.
@@ -187,7 +180,6 @@ class ParallelizationMapper:
             num_microbatches=num_microbatches,
             pipeline=pipeline,
             data_parallel_plan=dp_plan,
-            sequence_parallel_plan=sp_plan,
             tp_scope=tp_scope,
             dp_scope=dp_scope,
             pp_scope=pp_scope,

@@ -1,21 +1,18 @@
-"""Megatron-style tensor model parallelism: shard sizes and communication volumes.
+"""Megatron-style tensor model parallelism: per-rank parameter counts.
 
 The Megatron-LM partitioning (Shoeybi et al.) splits the first GEMM of each
 block along the weight columns and the second along the rows, so that the
 only synchronization needed is a single all-reduce of the block output per
 block per pass.  This module captures the *bookkeeping* side of that scheme:
-how many parameters end up on each tensor-parallel rank and how many bytes
-each rank contributes to the tensor-parallel collectives.  The kernel-level
-effect on GEMM shapes is handled by
+how many parameters end up on each tensor-parallel rank.  The kernel-level
+effect -- the sharded GEMM shapes and the TP collectives -- is rendered by
 :class:`~repro.workload.transformer_layer.LayerTemplate`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict
 
-from ..hardware.datatypes import Precision
 from ..models.transformer import TransformerConfig
 
 
@@ -63,41 +60,3 @@ class TensorParallelShard:
     def parameters_per_rank(self, layers: int) -> float:
         """Weights one rank holds for ``layers`` transformer layers plus embeddings."""
         return layers * self.parameters_per_layer + self.embedding_parameters
-
-
-def tp_forward_communication_volume(
-    model: TransformerConfig,
-    micro_batch: int,
-    seq_len: int,
-    precision: Precision = Precision.FP16,
-) -> float:
-    """Bytes all-reduced per layer per micro-batch in the forward pass.
-
-    The Megatron mapping performs two all-reduces of the full hidden state
-    (one per block) per layer per forward pass.
-    """
-    hidden_state_bytes = micro_batch * seq_len * model.hidden_size * precision.bytes_per_element
-    return 2.0 * hidden_state_bytes
-
-
-def tp_backward_communication_volume(
-    model: TransformerConfig,
-    micro_batch: int,
-    seq_len: int,
-    precision: Precision = Precision.FP16,
-) -> float:
-    """Bytes all-reduced per layer per micro-batch in the backward pass."""
-    return tp_forward_communication_volume(model, micro_batch, seq_len, precision)
-
-
-def shard_summary(model: TransformerConfig, tensor_parallel: int, layers: int) -> Dict[str, float]:
-    """Convenient flat summary of per-rank parameter counts."""
-    shard = TensorParallelShard(model=model, tensor_parallel=tensor_parallel)
-    return {
-        "attention_per_layer": shard.attention_parameters_per_layer,
-        "mlp_per_layer": shard.mlp_parameters_per_layer,
-        "norm_per_layer": shard.norm_parameters_per_layer,
-        "per_layer": shard.parameters_per_layer,
-        "embedding": shard.embedding_parameters,
-        "total": shard.parameters_per_rank(layers),
-    }

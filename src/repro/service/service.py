@@ -19,6 +19,7 @@ in-memory fakes (see :mod:`repro.service.fakes`).
 from __future__ import annotations
 
 import itertools
+import math
 import queue as queue_module
 import threading
 from typing import Callable, Dict, List, Mapping, Optional
@@ -30,6 +31,11 @@ from ..sweep.runner import SweepResult
 from ..sweep.table import SweepTable
 from .jobs import Job, JobState
 from .registry import ServiceRegistry
+
+#: The largest grid one submission may expand to, about 100x the
+#: 10,080-scenario megasweep grid.  A spec far below the HTTP body limit can
+#: still name a product of axes large enough to occupy a worker for hours.
+MAX_SCENARIOS = 1_000_000
 
 
 class JobCancelled(Exception):
@@ -140,14 +146,23 @@ class StudyService:
 
         Raises :class:`~repro.errors.ReproError` subclasses for anything
         invalid -- unknown study/extractor/derive/model/system names, missing
-        required parameters, malformed spec fields -- which the API layer
-        returns as a structured 422 body.
+        required parameters, malformed spec fields, a grid of more than
+        :data:`MAX_SCENARIOS` scenarios -- which the API layer returns as a
+        structured 422 body.
         """
         if self._closed:
             raise InvalidTransition("the service is shutting down")
         if not isinstance(document, Mapping):
             raise ConfigurationError("the submission body must be a JSON object")
         study = self._parse_submission(document)
+        grid = math.prod(len(values) for values in study.axes.values())
+        if grid > MAX_SCENARIOS:
+            # Checked on the unfiltered grid, before counting: counting the
+            # filtered combos walks the whole product one combo at a time.
+            raise ConfigurationError(
+                f"study {study.name!r} expands to {grid:,} scenarios, over the "
+                f"{MAX_SCENARIOS:,}-scenario limit of one submission"
+            )
         total = self.executor.total_scenarios(study)
         try:
             spec_echo: Optional[Dict[str, object]] = study.to_dict()

@@ -321,16 +321,10 @@ def technology_node_scaling(
     combinations: Optional[Sequence[Dict[str, str]]] = None,
     precision: Precision = Precision.FP16,
     recompute: RecomputeStrategy = RecomputeStrategy.SELECTIVE,
-    optimize_allocation: bool = False,
     budget: Optional[ResourceBudget] = None,
-    runner: Optional[SweepRunner] = None,
 ) -> Study:
-    """The Fig.-6 technology sweep over derived (node, DRAM, network) devices.
-
-    ``optimize_allocation`` runs the per-node DSE area/power allocation
-    search while the cases are built (probes go through ``runner``).
-    """
-    from ..dse.space import DesignPoint, DesignSpace  # local: dse imports studies
+    """The Fig.-6 technology sweep over derived (node, DRAM, network) devices."""
+    from ..dse.space import DesignPoint  # local: dse imports studies
 
     model = get_model(model) if isinstance(model, str) else model
     if parallelism is None:
@@ -343,7 +337,6 @@ def technology_node_scaling(
         )
     combinations = list(combinations) if combinations is not None else [dict(c) for c in FIG6_COMBINATIONS]
     budget = budget or ResourceBudget()
-    space = DesignSpace(budget=budget)
     cases = []
     for node in nodes:
         for combo in combinations:
@@ -352,11 +345,6 @@ def technology_node_scaling(
                 dram_technology=combo["dram"],
                 inter_node_network=combo["network"],
             )
-            if optimize_allocation:
-                point = _optimize_point(
-                    point, space, model, parallelism, global_batch_size, num_devices,
-                    precision, recompute, budget, runner,
-                )
             cases.append(
                 {
                     "technology_node": node,
@@ -400,52 +388,6 @@ def fig7_bound_breakdown(**kwargs) -> Study:
         derive=tuple(study.derive) + ("bound_fraction_projection",),
         artifact="Fig. 7",
     )
-
-
-def _optimize_point(
-    point,
-    space,
-    model: TransformerConfig,
-    parallelism: ParallelismConfig,
-    global_batch_size: int,
-    num_devices: int,
-    precision: Precision,
-    recompute: RecomputeStrategy,
-    budget: ResourceBudget,
-    runner: Optional[SweepRunner] = None,
-):
-    """Optimize the area/power allocation of ``point`` for the training workload.
-
-    The descent's gradient probes go through ``probe_objective`` -- one
-    batched :meth:`SweepRunner.run` call per descent iteration -- so the
-    runner deduplicates repeated probe points and infeasible corners are
-    captured per-probe instead of aborting the whole batch.
-    """
-    from ..dse.search import GradientDescentSearch
-
-    runner = runner or default_runner()
-
-    def scenario_for(candidate) -> Scenario:
-        return Scenario.training(
-            candidate.build_system(num_devices=num_devices, budget=budget),
-            model,
-            parallelism,
-            global_batch_size=global_batch_size,
-            precision=precision,
-            recompute=recompute,
-        )
-
-    def objective(candidate) -> float:
-        return runner.evaluate(scenario_for(candidate)).step_time
-
-    def probe_objective(candidates) -> Sequence[float]:
-        results = runner.run((scenario_for(candidate) for candidate in candidates), capture_errors=True)
-        return [float("inf") if result.error is not None else result.value.step_time for result in results]
-
-    search = GradientDescentSearch(
-        space, initial_step=0.1, min_step=0.02, max_iterations=15, batch_objective=probe_objective
-    )
-    return search.search(objective, starting_points=[point]).best_point
 
 
 # ---------------------------------------------------------------------------

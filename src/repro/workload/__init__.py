@@ -1,7 +1,6 @@
-"""Workload layer: operators, task graphs, and phase builders."""
+"""Workload layer: operators, layer templates, and the training and inference phase specs."""
 
-from .graph import TaskGraph, TaskNode
-from .inference import InferencePhaseSpec, build_decode_step_graph, build_prefill_graph
+from .inference import InferencePhaseSpec
 from .operators import (
     CollectiveKind,
     CommunicationOp,
@@ -13,12 +12,7 @@ from .operators import (
     OperatorKind,
     make_gemv,
 )
-from .training import (
-    TrainingMicrobatchSpec,
-    build_backward_graph,
-    build_forward_graph,
-    build_training_microbatch_graph,
-)
+from .training import TrainingMicrobatchSpec
 from .transformer_layer import LayerExecutionSpec, LayerTemplate
 
 __all__ = [
@@ -33,13 +27,6 @@ __all__ = [
     "NormalizationOp",
     "Operator",
     "OperatorKind",
-    "TaskGraph",
-    "TaskNode",
     "TrainingMicrobatchSpec",
-    "build_backward_graph",
-    "build_decode_step_graph",
-    "build_forward_graph",
-    "build_prefill_graph",
-    "build_training_microbatch_graph",
     "make_gemv",
 ]

@@ -1,4 +1,4 @@
-"""Inference workload builders: prefill (summarization) and decode (generation).
+"""Inference workload: one rank's prefill (summarization) and decode (generation) phases.
 
 Inference has two phases with very different characteristics (Section 6 of
 the paper):
@@ -10,18 +10,20 @@ the paper):
   KV-caching the per-token GEMMs degenerate into skinny GEMMs / GEMVs whose
   time is dominated by streaming the model weights and the KV-cache from
   DRAM, i.e. they are memory-bound.
+
+:class:`InferencePhaseSpec` describes a request batch on one rank and maps
+each phase onto the per-layer
+:class:`~repro.workload.transformer_layer.LayerTemplate` that renders its
+operators.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
 from ..errors import ConfigurationError
 from ..hardware.datatypes import Precision
 from ..models.transformer import TransformerConfig
-from .graph import TaskGraph
-from .operators import Operator
 from .transformer_layer import LayerExecutionSpec
 
 
@@ -87,60 +89,3 @@ class InferencePhaseSpec:
         the mid-point captures the average cost per generated token.
         """
         return self.prompt_len + max(0, self.generated_tokens - 1) // 2
-
-
-def build_prefill_graph(
-    spec: InferencePhaseSpec,
-    layers: Optional[int] = None,
-    tp_scope: str = "intra_node",
-) -> TaskGraph:
-    """Task graph of the prefill phase over ``layers`` transformer layers."""
-    num_layers = spec.model.num_layers if layers is None else layers
-    graph = TaskGraph(name=f"{spec.model.name}-prefill")
-    layer = spec.prefill_layer_spec()
-    template = layer.template()
-    last = None
-    for layer_index in range(num_layers):
-        tags = [f"layer{layer_index}", "prefill"]
-        ops: list[Operator] = list(template.forward_compute_ops(*layer.shape))
-        ops.extend(template.forward_communication(layer.tokens, scope=tp_scope))
-        for op in ops:
-            last = graph.add(op, deps=[last] if last is not None else [], tags=tags)
-    if spec.include_lm_head:
-        # Only the last token's logits are needed to start generation.
-        head = template.lm_head(spec.batch_size)
-        graph.add(head, deps=[last] if last is not None else [], tags=["lm_head", "prefill"])
-    return graph
-
-
-def build_decode_step_graph(
-    spec: InferencePhaseSpec,
-    kv_len: Optional[int] = None,
-    layers: Optional[int] = None,
-    tp_scope: str = "intra_node",
-) -> TaskGraph:
-    """Task graph of one autoregressive decode step.
-
-    Args:
-        spec: The inference phase description.
-        kv_len: KV-cache length this step attends to; defaults to the average
-            over the generation phase.
-        layers: Number of layers to include; defaults to the full model.
-        tp_scope: Scope of the tensor-parallel collectives.
-    """
-    num_layers = spec.model.num_layers if layers is None else layers
-    cache_len = spec.average_decode_kv_len if kv_len is None else kv_len
-    graph = TaskGraph(name=f"{spec.model.name}-decode")
-    layer = spec.decode_layer_spec(cache_len)
-    template = layer.template()
-    last = None
-    for layer_index in range(num_layers):
-        tags = [f"layer{layer_index}", "decode"]
-        ops: list[Operator] = list(template.forward_compute_ops(*layer.shape))
-        ops.extend(template.forward_communication(layer.tokens, scope=tp_scope))
-        for op in ops:
-            last = graph.add(op, deps=[last] if last is not None else [], tags=tags)
-    if spec.include_lm_head:
-        head = template.lm_head(spec.batch_size)
-        graph.add(head, deps=[last] if last is not None else [], tags=["lm_head", "decode"])
-    return graph

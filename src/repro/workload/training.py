@@ -1,23 +1,21 @@
-"""Training workload builder: the task graph of one training micro-batch.
+"""Training workload: the work one device does for one training micro-batch.
 
-The builder produces, for one pipeline stage on one device, the chain of
-forward and backward operators (including the tensor-parallel collectives)
-for a configurable number of transformer layers.  Pipeline scheduling,
+:class:`TrainingMicrobatchSpec` fixes one pipeline stage's share of a
+micro-batch -- its layers, shape, parallel degrees and precision -- and maps
+it onto the per-layer :class:`~repro.workload.transformer_layer.LayerTemplate`
+that renders the forward and backward operators.  Pipeline scheduling,
 data-parallel gradient reduction, and activation recomputation overheads are
-applied on top of this graph by the performance-prediction engine.
+applied on top of those operators by the performance-prediction engine.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
 
 from ..errors import ConfigurationError
 from ..hardware.datatypes import Precision
 from ..models.transformer import TransformerConfig
-from .graph import TaskGraph
-from .operators import Operator
-from .transformer_layer import LayerExecutionSpec, backward_gemms
+from .transformer_layer import LayerExecutionSpec
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,48 +59,3 @@ class TrainingMicrobatchSpec:
             precision=self.precision,
             with_dropout=True,
         )
-
-
-def build_forward_graph(spec: TrainingMicrobatchSpec, tp_scope: str = "intra_node") -> TaskGraph:
-    """Forward-pass task graph of one micro-batch on one pipeline stage."""
-    graph = TaskGraph(name=f"{spec.model.name}-forward")
-    layer = spec.layer_spec()
-    template = layer.template()
-    last: Optional[int] = None
-    for layer_index in range(spec.layers_per_stage):
-        tags = [f"layer{layer_index}", "forward"]
-        ops: List[Operator] = list(template.forward_compute_ops(*layer.shape))
-        ops.extend(template.forward_communication(layer.tokens, scope=tp_scope))
-        for op in ops:
-            last = graph.add(op, deps=[last] if last is not None else [], tags=tags)
-    if spec.include_embedding:
-        head = template.lm_head(layer.tokens)
-        last = graph.add(head, deps=[last] if last is not None else [], tags=["lm_head", "forward"])
-    return graph
-
-
-def build_backward_graph(spec: TrainingMicrobatchSpec, tp_scope: str = "intra_node") -> TaskGraph:
-    """Backward-pass task graph of one micro-batch on one pipeline stage."""
-    graph = TaskGraph(name=f"{spec.model.name}-backward")
-    layer = spec.layer_spec()
-    template = layer.template()
-    last: Optional[int] = None
-    if spec.include_embedding:
-        for op in backward_gemms(template.lm_head(layer.tokens)):
-            last = graph.add(op, deps=[last] if last is not None else [], tags=["lm_head", "backward"])
-    for layer_index in range(spec.layers_per_stage):
-        tags = [f"layer{layer_index}", "backward"]
-        ops: List[Operator] = list(template.backward_compute_ops(*layer.shape))
-        ops.extend(template.backward_communication(layer.tokens, scope=tp_scope))
-        for op in ops:
-            last = graph.add(op, deps=[last] if last is not None else [], tags=tags)
-    return graph
-
-
-def build_training_microbatch_graph(spec: TrainingMicrobatchSpec, tp_scope: str = "intra_node") -> TaskGraph:
-    """Forward + backward task graph of one micro-batch on one pipeline stage."""
-    graph = build_forward_graph(spec, tp_scope=tp_scope)
-    backward = build_backward_graph(spec, tp_scope=tp_scope)
-    tail = [graph.nodes[-1].node_id] if len(graph) else None
-    graph.merge(backward, deps=tail)
-    return graph

@@ -59,30 +59,6 @@ def test_evaluate_batch_matches_scalar_exactly(system, algorithm):
         assert batched_time == scalar_model.time(op), op
 
 
-@pytest.mark.parametrize("algorithm", list(CollectiveAlgorithm))
-def test_time_batch_matches_scalar_and_seeds_memo(system, algorithm):
-    ops = _op_zoo()
-    model = CollectiveModel(system=system, algorithm=algorithm)
-    reference = CollectiveModel(system=system, algorithm=algorithm)
-    times = model.time_batch(ops)
-    assert times == [reference.time(op) for op in ops]
-    # Non-trivial rows are now memoized; repeats come from the memo.
-    for op in ops:
-        if not op.is_trivial:
-            assert model.memoized(op)
-    assert model.time_batch(ops) == times
-
-
-def test_time_batch_serves_memoized_rows(system):
-    model = CollectiveModel(system=system)
-    op = CommunicationOp(
-        name="ar", collective=CollectiveKind.ALL_REDUCE, data_bytes=4 * MIB, group_size=8, scope="intra_node"
-    )
-    scalar = model.time(op)
-    assert model.memoized(op)
-    assert model.time_batch([op, op]) == [scalar, scalar]
-
-
 def test_evaluate_batch_trivial_rows_are_zero(system):
     model = CollectiveModel(system=system)
     ops = [

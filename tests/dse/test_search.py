@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dse.search import EvaluationRecord, GradientDescentSearch, optimize_allocation
+from repro.dse.search import EvaluationRecord, GradientDescentSearch
 from repro.dse.space import DesignPoint, DesignSpace
 from repro.errors import MemoryCapacityError, SearchError
 
@@ -24,6 +24,29 @@ def test_search_finds_known_optimum():
     assert result.best_cost == pytest.approx(1.0, abs=0.02)
     assert result.evaluations > 5
     assert result.history
+
+
+def test_fixed_descent_path_is_pinned():
+    """One descent, pinned to the values it reads: probes are evaluated in the
+    order they are generated, each once per search."""
+    space = DesignSpace(technology_nodes=("N7",), dram_technologies=("HBM2E",), inter_node_networks=("NDR-x8",))
+    search = GradientDescentSearch(space, initial_step=0.2, min_step=0.005)
+    start = DesignPoint(compute_area_fraction=0.45, l2_area_fraction=0.25)
+    result = search.search(_quadratic_objective(optimum_compute=0.65, optimum_l2=0.15), starting_points=[start])
+    best = result.best_point
+    assert (best.compute_area_fraction, best.l2_area_fraction, best.compute_power_fraction) == (0.65, 0.15, 0.65)
+    assert result.best_cost == 1.0
+    assert result.evaluations == 45
+    assert len(result.history) == 3
+    assert result.summary() == {
+        "best_cost": 1.0,
+        "evaluations": 45,
+        "technology_node": "N7",
+        "dram_technology": "HBM2E",
+        "inter_node_network": "NDR-x8",
+        "compute_area_fraction": 0.65,
+        "l2_area_fraction": 0.15,
+    }
 
 
 def test_search_respects_bounds():
@@ -110,74 +133,3 @@ def test_search_without_starting_points_raises():
     space = DesignSpace(technology_nodes=("N7",), dram_technologies=("HBM2E",), inter_node_networks=("NDR-x8",))
     with pytest.raises(SearchError):
         GradientDescentSearch(space).search(_quadratic_objective(), starting_points=[])
-
-
-def test_optimize_allocation_helper():
-    result = optimize_allocation(_quadratic_objective(optimum_compute=0.6, optimum_l2=0.2))
-    assert result.best_point.compute_area_fraction == pytest.approx(0.6, abs=0.08)
-    summary = result.summary()
-    assert "best_cost" in summary and "compute_area_fraction" in summary
-
-
-def test_batch_objective_probes_once_per_iteration():
-    """With a batch objective, each descent iteration fires one batched probe call."""
-    space = DesignSpace(technology_nodes=("N7",), dram_technologies=("HBM2E",), inter_node_networks=("NDR-x8",))
-    batches = []
-
-    def objective(point: DesignPoint) -> float:
-        return (point.compute_area_fraction - 0.7) ** 2 + (point.l2_area_fraction - 0.1) ** 2 + 1.0
-
-    def batch_objective(points):
-        batches.append(list(points))
-        return [objective(point) for point in points]
-
-    search = GradientDescentSearch(space, initial_step=0.2, min_step=0.005, batch_objective=batch_objective)
-    result = search.search(objective, starting_points=[DesignPoint(compute_area_fraction=0.4)])
-    assert result.best_point.compute_area_fraction == pytest.approx(0.7, abs=0.05)
-    assert result.best_cost == pytest.approx(1.0, abs=0.02)
-    assert batches  # the batched path was exercised
-    # Every batch contains at most the six gradient probes (3 knobs x 2 directions).
-    assert all(1 <= len(batch) <= 6 for batch in batches)
-
-
-def test_batch_objective_infinite_costs_mark_infeasible():
-    space = DesignSpace(technology_nodes=("N7",), dram_technologies=("HBM2E",), inter_node_networks=("NDR-x8",))
-
-    def objective(point: DesignPoint) -> float:
-        if point.compute_area_fraction > 0.55:
-            raise MemoryCapacityError("infeasible")
-        return 10.0 - point.compute_area_fraction
-
-    def batch_objective(points):
-        costs = []
-        for point in points:
-            try:
-                costs.append(objective(point))
-            except MemoryCapacityError:
-                costs.append(float("inf"))
-        return costs
-
-    search = GradientDescentSearch(space, batch_objective=batch_objective)
-    result = search.search(objective, starting_points=[DesignPoint(compute_area_fraction=0.4)])
-    assert result.best_point.compute_area_fraction <= 0.55
-    assert result.best_cost < 10.0
-
-
-def test_batch_objective_length_mismatch_raises():
-    space = DesignSpace(technology_nodes=("N7",), dram_technologies=("HBM2E",), inter_node_networks=("NDR-x8",))
-    search = GradientDescentSearch(space, batch_objective=lambda points: [1.0])
-    with pytest.raises(SearchError):
-        search.search(_quadratic_objective(), starting_points=[DesignPoint(compute_area_fraction=0.4)])
-
-
-def test_batched_and_unbatched_probes_agree():
-    """The batch objective changes how probes are evaluated, not where descent lands."""
-    space = DesignSpace(technology_nodes=("N7",), dram_technologies=("HBM2E",), inter_node_networks=("NDR-x8",))
-    objective = _quadratic_objective(optimum_compute=0.65, optimum_l2=0.15)
-    start = [DesignPoint(compute_area_fraction=0.45, l2_area_fraction=0.25)]
-    plain = GradientDescentSearch(space, initial_step=0.2, min_step=0.005).search(objective, starting_points=start)
-    batched = GradientDescentSearch(
-        space, initial_step=0.2, min_step=0.005, batch_objective=lambda pts: [objective(p) for p in pts]
-    ).search(objective, starting_points=start)
-    assert batched.best_point == plain.best_point
-    assert batched.best_cost == plain.best_cost

@@ -46,12 +46,6 @@ def test_build_system_rejects_partial_nodes():
         build_system("A100", num_devices=12, devices_per_node=8)
 
 
-def test_fabric_for_group():
-    system = build_system("A100", num_devices=64)
-    assert system.fabric_for_group(8).scope == "intra_node"
-    assert system.fabric_for_group(64).scope == "inter_node"
-
-
 def test_with_accelerator_and_fabric_and_devices():
     system = build_system("A100", num_devices=16)
     h100 = get_accelerator("H100")

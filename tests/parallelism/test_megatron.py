@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.hardware.datatypes import Precision
-from repro.parallelism.megatron import (
-    TensorParallelShard,
-    shard_summary,
-    tp_backward_communication_volume,
-    tp_forward_communication_volume,
-)
+from repro.parallelism.megatron import TensorParallelShard
 
 
 def test_shard_divides_attention_and_mlp(gpt_175b):
@@ -45,23 +39,3 @@ def test_total_shards_reconstruct_model(gpt_175b):
         + gpt_175b.embedding_parameters
     )
     assert reconstructed == pytest.approx(expected)
-
-
-def test_tp_communication_volume_formula(gpt_175b):
-    volume = tp_forward_communication_volume(gpt_175b, micro_batch=1, seq_len=2048, precision=Precision.FP16)
-    assert volume == pytest.approx(2 * 2048 * gpt_175b.hidden_size * 2)
-    assert tp_backward_communication_volume(gpt_175b, 1, 2048) == pytest.approx(volume)
-
-
-def test_tp_communication_scales_with_batch_and_precision(gpt_175b):
-    base = tp_forward_communication_volume(gpt_175b, 1, 2048, Precision.FP16)
-    double_batch = tp_forward_communication_volume(gpt_175b, 2, 2048, Precision.FP16)
-    fp8 = tp_forward_communication_volume(gpt_175b, 1, 2048, Precision.FP8)
-    assert double_batch == pytest.approx(2 * base)
-    assert fp8 == pytest.approx(base / 2)
-
-
-def test_shard_summary_keys(gpt_175b):
-    summary = shard_summary(gpt_175b, tensor_parallel=8, layers=12)
-    assert set(summary) == {"attention_per_layer", "mlp_per_layer", "norm_per_layer", "per_layer", "embedding", "total"}
-    assert summary["total"] > summary["per_layer"]

@@ -18,6 +18,7 @@ from repro.service import (
     StudyService,
     fake_catalogs,
 )
+from repro.service.service import MAX_SCENARIOS
 from repro.sweep import SweepRunner
 
 
@@ -236,6 +237,34 @@ def real_api():
     registry = ServiceRegistry(runner=runner, jobs=InMemoryJobStore(), workers=0)
     service = StudyService(registry, start_workers=False)
     return ServiceApi(service), service, runner
+
+
+def test_oversized_grid_is_422_before_counting(real_api):
+    """A small spec naming a huge product of axes is refused by its grid size,
+    before any combo is counted or a job exists; registered studies still submit."""
+    api, service, _ = real_api
+    spec = {
+        "name": "oversized",
+        "kind": "inference",
+        "axes": {
+            "tensor_parallel": [1, 2],
+            "batch_size": list(range(1, 301)),
+            "prompt_tokens": list(range(1, 301)),
+            "generated_tokens": list(range(1, 301)),
+        },
+        "fixed": {"system": "A100x2", "model": "LLAMA2-7B"},
+    }
+    assert len(json.dumps(spec)) < 5_000
+    response = post_spec(api, spec)
+    assert response.status == 422
+    error = response.json_body()["error"]
+    assert error["type"] == "ConfigurationError"
+    assert "54,000,000 scenarios" in error["message"]
+    assert f"{MAX_SCENARIOS:,}-scenario limit" in error["message"]
+    assert service.jobs.list() == []
+    accepted = post_spec(api, {"study": "table4_gemm_bottlenecks"})
+    assert accepted.status == 202
+    assert accepted.json_body()["job"]["total_scenarios"] == 2
 
 
 def test_second_submission_prices_zero_scenarios(real_api):

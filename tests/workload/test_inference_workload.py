@@ -1,24 +1,13 @@
-"""Tests for the inference (prefill / decode) workload builders."""
+"""Tests for the inference (prefill / decode) phase spec."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.workload.inference import (
-    InferencePhaseSpec,
-    build_decode_step_graph,
-    build_prefill_graph,
-)
-from repro.workload.operators import GEMM
+from repro.workload.inference import InferencePhaseSpec
 
 
-def _spec(model, batch=1, prompt=64, generate=32, tp=1):
-    return InferencePhaseSpec(
-        model=model,
-        batch_size=batch,
-        prompt_len=prompt,
-        generated_tokens=generate,
-        tensor_parallel=tp,
-    )
+def _spec(model, prompt=64, generate=32):
+    return InferencePhaseSpec(model=model, batch_size=1, prompt_len=prompt, generated_tokens=generate)
 
 
 def test_spec_validation(tiny_model):
@@ -33,61 +22,3 @@ def test_average_decode_kv_len(tiny_model):
     assert 200 <= spec.average_decode_kv_len <= 400
     no_generation = _spec(tiny_model, prompt=200, generate=0)
     assert no_generation.average_decode_kv_len == 200
-
-
-def test_prefill_graph_covers_all_layers(tiny_model):
-    spec = _spec(tiny_model)
-    graph = build_prefill_graph(spec)
-    layer_tags = {tag for node in graph for tag in node.tags if tag.startswith("layer")}
-    assert len(layer_tags) == tiny_model.num_layers
-
-
-def test_prefill_graph_has_no_dropout(tiny_model):
-    graph = build_prefill_graph(_spec(tiny_model))
-    assert not any("dropout" in node.operator.name for node in graph)
-
-
-def test_prefill_includes_lm_head_for_last_token_only(tiny_model):
-    spec = _spec(tiny_model, batch=4, prompt=64)
-    graph = build_prefill_graph(spec)
-    heads = [node.operator for node in graph if node.operator.name == "lm_head"]
-    assert len(heads) == 1
-    assert isinstance(heads[0], GEMM)
-    assert heads[0].m == 4  # only the last position per sequence
-
-
-def test_decode_step_uses_single_token_queries(tiny_model):
-    spec = _spec(tiny_model, batch=2, prompt=64, generate=64)
-    graph = build_decode_step_graph(spec)
-    qkv = [node.operator for node in graph if node.operator.name == "qkv_projection"]
-    assert all(g.m == 2 for g in qkv)
-    scores = [node.operator for node in graph if node.operator.name == "attention_scores"]
-    assert all(g.m == 1 for g in scores)
-    assert all(g.n == spec.average_decode_kv_len for g in scores)
-
-
-def test_decode_step_kv_len_override(tiny_model):
-    graph = build_decode_step_graph(_spec(tiny_model), kv_len=77)
-    scores = [node.operator for node in graph if node.operator.name == "attention_scores"]
-    assert all(g.n == 77 for g in scores)
-
-
-def test_decode_flops_much_smaller_than_prefill(tiny_model):
-    spec = _spec(tiny_model, prompt=128, generate=16)
-    prefill = build_prefill_graph(spec)
-    decode = build_decode_step_graph(spec)
-    assert decode.total_flops < prefill.total_flops / 16
-
-
-def test_tp_reduces_per_rank_flops_and_adds_comm(tiny_model):
-    single = build_decode_step_graph(_spec(tiny_model, tp=1))
-    sharded = build_decode_step_graph(_spec(tiny_model, tp=4))
-    assert sharded.total_flops < single.total_flops
-    assert len(sharded.communication_operators()) == 2 * tiny_model.num_layers
-    assert len(single.communication_operators()) == 0
-
-
-def test_layers_argument_limits_graph(tiny_model):
-    graph = build_prefill_graph(_spec(tiny_model), layers=1)
-    layer_tags = {tag for node in graph for tag in node.tags if tag.startswith("layer")}
-    assert layer_tags == {"layer0"}

@@ -1,91 +1,11 @@
-"""Tests for the training micro-batch task-graph builder."""
+"""Tests for the training micro-batch spec."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.workload.operators import OperatorKind
-from repro.workload.training import (
-    TrainingMicrobatchSpec,
-    build_backward_graph,
-    build_forward_graph,
-    build_training_microbatch_graph,
-)
-
-
-def _spec(model, layers=2, tp=1, include_embedding=False):
-    return TrainingMicrobatchSpec(
-        model=model,
-        micro_batch=1,
-        seq_len=128,
-        layers_per_stage=layers,
-        tensor_parallel=tp,
-        include_embedding=include_embedding,
-    )
+from repro.workload.training import TrainingMicrobatchSpec
 
 
 def test_spec_validation(tiny_model):
     with pytest.raises(ConfigurationError):
         TrainingMicrobatchSpec(model=tiny_model, micro_batch=1, seq_len=128, layers_per_stage=0)
-
-
-def test_forward_graph_scales_with_layers(tiny_model):
-    one = build_forward_graph(_spec(tiny_model, layers=1))
-    three = build_forward_graph(_spec(tiny_model, layers=3))
-    assert three.total_flops == pytest.approx(3 * one.total_flops, rel=1e-6)
-    assert len(three) == 3 * len(one)
-
-
-def test_forward_graph_contains_comm_when_tp(tiny_model):
-    graph = build_forward_graph(_spec(tiny_model, layers=2, tp=4))
-    comms = graph.communication_operators()
-    assert len(comms) == 2 * 2  # two all-reduces per layer
-    assert all(op.group_size == 4 for op in comms)
-
-
-def test_lm_head_only_when_embedding_included(tiny_model):
-    without = build_forward_graph(_spec(tiny_model, include_embedding=False))
-    with_head = build_forward_graph(_spec(tiny_model, include_embedding=True))
-    names_without = [node.operator.name for node in without]
-    names_with = [node.operator.name for node in with_head]
-    assert "lm_head" not in names_without
-    assert "lm_head" in names_with
-
-
-def test_backward_graph_has_more_flops_than_forward(tiny_model):
-    spec = _spec(tiny_model, layers=2)
-    forward = build_forward_graph(spec)
-    backward = build_backward_graph(spec)
-    assert backward.total_flops > 1.8 * forward.total_flops
-
-
-def test_combined_graph_is_forward_plus_backward(tiny_model):
-    spec = _spec(tiny_model, layers=2, tp=2)
-    combined = build_training_microbatch_graph(spec)
-    forward = build_forward_graph(spec)
-    backward = build_backward_graph(spec)
-    assert len(combined) == len(forward) + len(backward)
-    assert combined.total_flops == pytest.approx(forward.total_flops + backward.total_flops, rel=1e-9)
-
-
-def test_combined_graph_is_acyclic_and_serial(tiny_model):
-    graph = build_training_microbatch_graph(_spec(tiny_model, layers=2))
-    order = graph.topological_order()
-    assert len(order) == len(graph)
-    # The chain structure means the critical path equals the serial time.
-    assert graph.critical_path_time(lambda op: 1.0) == pytest.approx(graph.serial_time(lambda op: 1.0))
-
-
-def test_graph_tags_mark_phases(tiny_model):
-    graph = build_training_microbatch_graph(_spec(tiny_model, layers=1))
-    forward_ops = graph.operators(tag="forward")
-    backward_ops = graph.operators(tag="backward")
-    assert forward_ops and backward_ops
-    assert len(backward_ops) > len(forward_ops) - 5
-
-
-def test_graph_has_gemm_and_memory_kernels(tiny_model):
-    graph = build_forward_graph(_spec(tiny_model, layers=1))
-    kinds = {node.operator.kind for node in graph}
-    assert OperatorKind.GEMM in kinds
-    assert OperatorKind.NORMALIZATION in kinds
-    assert OperatorKind.ELEMENTWISE in kinds
