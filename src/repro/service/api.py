@@ -34,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 

@@ -59,6 +59,35 @@ def test_evaluate_batch_matches_scalar_exactly(system, algorithm):
         assert batched_time == scalar_model.time(op), op
 
 
+def test_time_memoizes_nontrivial_rows(system):
+    model = CollectiveModel(system=system)
+    op = CommunicationOp(
+        name="ar", collective=CollectiveKind.ALL_REDUCE, data_bytes=4 * MIB, group_size=8, scope="intra_node"
+    )
+    trivial = CommunicationOp(name="solo", collective=CollectiveKind.ALL_REDUCE, data_bytes=4 * MIB, group_size=1)
+    assert not model.memoized(op)
+    first = model.time(op)
+    assert model.memoized(op)
+    assert model.time(op) == first
+    assert model.time(trivial) == 0.0
+    assert not model.memoized(trivial)
+
+
+def test_batch_seeded_memo_serves_scalar_time(system):
+    """The sweep planner's pattern: price a batch once, seed the memo, and
+    the scalar path then reads the seeded rows."""
+    ops = [op for op in _op_zoo() if not op.is_trivial]
+    seeded = CollectiveModel(system=system)
+    times = seeded.evaluate_batch(CollectiveBatch.from_ops(ops)).tolist()
+    for op, op_time in zip(ops, times):
+        assert seeded.memoize(op, op_time) == op_time
+        assert seeded.memoized(op)
+    reference = CollectiveModel(system=system)
+    assert [seeded.time(op) for op in ops] == [reference.time(op) for op in ops]
+    seeded.memoize(ops[0], 123.0)
+    assert seeded.time(ops[0]) == 123.0  # served from the memo, not recomputed
+
+
 def test_evaluate_batch_trivial_rows_are_zero(system):
     model = CollectiveModel(system=system)
     ops = [

@@ -150,6 +150,19 @@ def test_exact_decode_breakdown_is_consistent(a100_inference, llama2_13b):
     assert {"attention_scores", "attention_context", "lm_head"}.issubset(names)
 
 
+def test_exact_plan_holds_one_decode_step_per_token(a100_inference, llama2_13b):
+    def scores_kv_len(ops):
+        (scores,) = [op for op in ops if op.name == "attention_scores"]
+        return scores.n
+
+    exact = a100_inference.plan(llama2_13b, prompt_tokens=10, generated_tokens=4, decode_mode="exact")
+    assert exact.decode_ops is None
+    assert [scores_kv_len(step) for step in exact.decode_steps] == [10, 11, 12, 13]
+    average = a100_inference.plan(llama2_13b, prompt_tokens=10, generated_tokens=4)
+    assert average.decode_steps is None
+    assert scores_kv_len(average.decode_ops) == average.spec.average_decode_kv_len == 11
+
+
 def test_exact_decode_with_zero_generated_tokens(a100_inference, llama2_13b):
     report = a100_inference.predict(llama2_13b, generated_tokens=0, tensor_parallel=1, decode_mode="exact")
     assert report.decode.total_time == 0.0

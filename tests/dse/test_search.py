@@ -133,3 +133,28 @@ def test_search_without_starting_points_raises():
     space = DesignSpace(technology_nodes=("N7",), dram_technologies=("HBM2E",), inter_node_networks=("NDR-x8",))
     with pytest.raises(SearchError):
         GradientDescentSearch(space).search(_quadratic_objective(), starting_points=[])
+
+
+def test_starting_points_outside_the_space_are_skipped():
+    space = DesignSpace(technology_nodes=("N7",), dram_technologies=("HBM2E",), inter_node_networks=("NDR-x8",))
+    search = GradientDescentSearch(space, initial_step=0.2, min_step=0.005)
+    inside = DesignPoint(compute_area_fraction=0.45, l2_area_fraction=0.25)
+    outside = DesignPoint(technology_node="N3", compute_area_fraction=0.65, l2_area_fraction=0.15)
+    objective = _quadratic_objective(optimum_compute=0.65, optimum_l2=0.15)
+    assert search.search(objective, starting_points=[outside, inside]) == search.search(
+        objective, starting_points=[inside]
+    )
+    with pytest.raises(SearchError):
+        search.search(objective, starting_points=[outside])
+
+
+def test_history_records_each_improvement():
+    space = DesignSpace(technology_nodes=("N7",), dram_technologies=("HBM2E",), inter_node_networks=("NDR-x8",))
+    search = GradientDescentSearch(space, initial_step=0.2, min_step=0.005)
+    objective = _quadratic_objective()
+    result = search.search(objective, starting_points=[DesignPoint(compute_area_fraction=0.4)])
+    costs = [cost for cost, _ in result.history]
+    assert costs == sorted(costs, reverse=True)
+    assert len(set(costs)) == len(costs)  # each entry strictly improves on the last
+    assert all(objective(point) == cost for cost, point in result.history)
+    assert result.history[-1] == (result.best_cost, result.best_point)

@@ -1,5 +1,7 @@
 """Tests for numeric precisions."""
 
+import pickle
+
 import pytest
 
 from repro.hardware.datatypes import MASTER_PRECISION, Precision
@@ -40,3 +42,21 @@ def test_master_precision_is_fp32():
 def test_every_precision_has_positive_width():
     for precision in Precision:
         assert precision.bytes_per_element > 0
+
+
+def test_width_survives_pickle_round_trip():
+    for precision in Precision:
+        restored = pickle.loads(pickle.dumps(precision))
+        assert restored is precision
+        assert restored.bytes_per_element == precision.bytes_per_element
+
+
+def test_bits_are_eight_times_bytes():
+    for precision in Precision:
+        assert precision.bits == 8 * precision.bytes_per_element
+
+
+def test_parse_accepts_every_member_name_and_value():
+    for precision in Precision:
+        assert Precision.parse(precision.value) is precision
+        assert Precision.parse(precision.name) is precision

@@ -18,7 +18,8 @@ from repro.service import (
     StudyService,
     fake_catalogs,
 )
-from repro.service.service import MAX_SCENARIOS
+from repro.service import service as service_module
+from repro.service.service import MAX_SCENARIOS, RunnerStudyExecutor
 from repro.sweep import SweepRunner
 
 
@@ -218,6 +219,64 @@ def test_clock_drives_timestamps():
     assert status["submitted_at"] == 100.0
     assert status["started_at"] == 105.0
     assert api.dispatch("GET", "/stats").json_body()["uptime_s"] == 5.0
+
+
+# -- the scenario limit ------------------------------------------------------------------
+
+
+def _grid_study(seeds, lanes, filters=()):
+    return Study(
+        name="grid-study",
+        kind="gemv_validation",
+        axes={"seed": list(range(seeds)), "lane": list(range(lanes))},
+        filters=filters,
+    )
+
+
+def _grid_api(monkeypatch, limit, filters=()):
+    monkeypatch.setattr(service_module, "MAX_SCENARIOS", limit)
+    return make_api(builders={"grid": lambda **kw: _grid_study(filters=filters, **kw)})
+
+
+def test_grid_at_the_scenario_limit_submits(monkeypatch):
+    api, service = _grid_api(monkeypatch, limit=6)
+    response = post_spec(api, {"study": "grid", "params": {"seeds": 3, "lanes": 2}})
+    assert response.status == 202
+    assert response.json_body()["job"]["total_scenarios"] == 6
+    assert len(service.jobs.list()) == 1
+
+
+def test_grid_one_over_the_scenario_limit_is_422(monkeypatch):
+    api, service = _grid_api(monkeypatch, limit=6)
+    response = post_spec(api, {"study": "grid", "params": {"seeds": 7, "lanes": 1}})
+    assert response.status == 422
+    message = response.json_body()["error"]["message"]
+    assert "expands to 7 scenarios" in message
+    assert "6-scenario limit" in message
+    assert service.jobs.list() == []
+
+
+def test_scenario_limit_applies_to_the_unfiltered_grid(monkeypatch):
+    """The limit reads the product of the axis lengths: a filter that would
+    keep fewer combos is never run for a grid over the limit."""
+    calls = []
+
+    def first_lane(combo):
+        calls.append(combo)
+        return combo["lane"] == 0
+
+    api, service = _grid_api(monkeypatch, limit=6, filters=(first_lane,))
+    response = post_spec(api, {"study": "grid", "params": {"seeds": 4, "lanes": 2}})
+    assert response.status == 422
+    assert "expands to 8 scenarios" in response.json_body()["error"]["message"]
+    assert calls == []
+    assert service.jobs.list() == []
+
+
+def test_total_scenarios_counts_filtered_combos():
+    study = _grid_study(seeds=4, lanes=3, filters=(lambda combo: combo["lane"] == 0,))
+    assert RunnerStudyExecutor(runner=None).total_scenarios(study) == 4
+    assert RunnerStudyExecutor(runner=None).total_scenarios(_grid_study(seeds=4, lanes=3)) == 12
 
 
 # -- acceptance pins on the REAL runner --------------------------------------------------

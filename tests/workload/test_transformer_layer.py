@@ -3,11 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.caching import Memo
 from repro.errors import ConfigurationError
 from repro.hardware.datatypes import Precision
 from repro.models.transformer import MLPActivation, TransformerConfig
 from repro.workload.operators import CollectiveColumns, CollectiveKind, GEMM, GemmColumns
-from repro.workload.transformer_layer import LayerExecutionSpec, LayerTemplate
+from repro.workload.transformer_layer import (
+    GELU_FLOPS_PER_ELEMENT,
+    SILU_FLOPS_PER_ELEMENT,
+    LayerExecutionSpec,
+    LayerTemplate,
+    backward_gemms,
+    layer_template,
+)
 
 
 def _template(model, tp=1, sp=False, **kwargs):
@@ -168,6 +176,58 @@ def test_backward_communication_mirrors_forward(tiny_model):
     assert len(fwd) == len(bwd)
     assert sum(op.data_bytes for op in fwd) == pytest.approx(sum(op.data_bytes for op in bwd))
     assert template.communication(256) == fwd + bwd
+
+
+def test_layer_template_memo_keeps_one_template_per_configuration(tiny_model):
+    templates = Memo()
+    first = layer_template(templates, tiny_model, tensor_parallel=2)
+    assert layer_template(templates, tiny_model, tensor_parallel=2) is first
+    assert layer_template(templates, tiny_model, tensor_parallel=4) is not first
+    assert layer_template(templates, tiny_model, tensor_parallel=2, with_dropout=False) is not first
+    spec = LayerExecutionSpec(model=tiny_model, micro_batch=2, seq_len=128, tensor_parallel=2)
+    assert spec.template(templates) is first
+    # Without a memo every call builds a fresh template.
+    assert layer_template(None, tiny_model, tensor_parallel=2) is not layer_template(None, tiny_model, tensor_parallel=2)
+
+
+def test_backward_gemms_swap_operands_with_equal_flops(tiny_model):
+    forward = _by_name(_template(tiny_model).forward_gemms(2, 128))["mlp_h_to_4h"]
+    dgrad, wgrad = backward_gemms(forward)
+    assert (dgrad.name, wgrad.name) == ("mlp_h_to_4h_dgrad", "mlp_h_to_4h_wgrad")
+    assert dgrad.shape == (forward.m, forward.k, forward.n, forward.batch)
+    assert wgrad.shape == (forward.k, forward.n, forward.m, forward.batch)
+    assert dgrad.weight_operand and not wgrad.weight_operand
+    assert wgrad.accumulate and not dgrad.accumulate
+    assert dgrad.flops == wgrad.flops == forward.flops
+
+
+def test_lm_head_shards_vocabulary_over_tp(tiny_model):
+    template = _template(tiny_model, tp=4)
+    head = template.lm_head(6)
+    assert head.shape == (6, tiny_model.vocab_size // 4, tiny_model.hidden_size, 1)
+    assert head.weight_operand
+    assert template.lm_head(6) is head  # memoized per token count
+    assert _template(tiny_model).lm_head(6).n == tiny_model.vocab_size
+
+
+def test_kv_cache_append_bytes_follow_kv_heads(tiny_swiglu_model):
+    template = _template(tiny_swiglu_model, tp=2, use_kv_cache=True, with_dropout=False)
+    append = _by_name(template.forward_compute_ops(3, 1, 50))["kv_cache_append"]
+    kv_heads_per_device = tiny_swiglu_model.num_kv_heads // 2
+    # K and V of the 3 new tokens, for this rank's KV heads.
+    assert append.bytes_moved == 2 * 3 * kv_heads_per_device * tiny_swiglu_model.head_dim * 2
+    assert append.is_write
+
+
+def test_mlp_activation_kernel_follows_the_activation(tiny_model, tiny_swiglu_model):
+    gelu = _by_name(_template(tiny_model, tp=2).forward_compute_ops(2, 128))["mlp_gelu"]
+    assert gelu.num_elements == 2 * 128 * tiny_model.ffn_hidden_size // 2
+    assert gelu.flops == gelu.num_elements * GELU_FLOPS_PER_ELEMENT
+    silu = _by_name(_template(tiny_swiglu_model).forward_compute_ops(2, 128))["mlp_silu_mul"]
+    assert silu.num_elements == 2 * 128 * tiny_swiglu_model.ffn_hidden_size
+    assert silu.flops == silu.num_elements * SILU_FLOPS_PER_ELEMENT
+    # SwiGLU multiplies the gate by the up projection: two operand streams per element.
+    assert (gelu.reads_per_element, silu.reads_per_element) == (1.0, 2.0)
 
 
 # -- column views ------------------------------------------------------------------------
