@@ -27,12 +27,12 @@ class Precision(enum.Enum):
     @property
     def bytes_per_element(self) -> float:
         """Number of bytes one element of this precision occupies."""
-        return self._width
+        return _BYTES_PER_ELEMENT[self]
 
     @property
     def bits(self) -> int:
         """Width of the format in bits."""
-        return int(self._width * 8)
+        return int(_BYTES_PER_ELEMENT[self] * 8)
 
     @classmethod
     def parse(cls, value: "Precision | str") -> "Precision":
@@ -50,22 +50,17 @@ class Precision(enum.Enum):
         raise ValueError(f"unknown precision: {value!r}")
 
 
-# Each member holds its byte width as a plain attribute, so the byte counts
-# the pricing paths ask for on every operator do not hash the enum (a
-# Python-level ``Enum.__hash__``) the way a dict keyed by member would.
-for _precision, _width in (
-    (Precision.FP64, 8.0),
-    (Precision.FP32, 4.0),
-    (Precision.TF32, 4.0),
-    (Precision.FP16, 2.0),
-    (Precision.BF16, 2.0),
-    (Precision.FP8, 1.0),
-    (Precision.FP4, 0.5),
-    (Precision.INT8, 1.0),
-    (Precision.INT4, 0.5),
-):
-    _precision._width = _width
-del _precision, _width
+_BYTES_PER_ELEMENT = {
+    Precision.FP64: 8.0,
+    Precision.FP32: 4.0,
+    Precision.TF32: 4.0,
+    Precision.FP16: 2.0,
+    Precision.BF16: 2.0,
+    Precision.FP8: 1.0,
+    Precision.FP4: 0.5,
+    Precision.INT8: 1.0,
+    Precision.INT4: 0.5,
+}
 
 #: Precision used for optimizer master weights / states in mixed-precision training.
 MASTER_PRECISION = Precision.FP32

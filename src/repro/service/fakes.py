@@ -71,7 +71,6 @@ class FakeStudyExecutor:
     """A scripted execution backend: rows on demand, no pricing.
 
     Args:
-        rows_for: ``study -> row count``; defaults to the study's grid size.
         step: Optional semaphore acquired before *each* emitted row.  With an
             initial value of 0 the job freezes until the test releases steps,
             which is how cancel-while-running is pinned deterministically.
@@ -81,13 +80,11 @@ class FakeStudyExecutor:
 
     def __init__(
         self,
-        rows_for: Optional[Callable[[Study], int]] = None,
         step: Optional[threading.Semaphore] = None,
         fail_with: Optional[Exception] = None,
         fail_after: int = 0,
         cached: bool = False,
     ) -> None:
-        self.rows_for = rows_for
         self.step = step
         self.fail_with = fail_with
         self.fail_after = fail_after
@@ -95,8 +92,6 @@ class FakeStudyExecutor:
         self.executed: List[str] = []
 
     def total_scenarios(self, study: Study) -> int:
-        if self.rows_for is not None:
-            return self.rows_for(study)
         return sum(1 for _ in study.combos())
 
     def execute(self, study: Study, on_result: Callable[[SweepResult], None]) -> SweepTable:

@@ -163,7 +163,8 @@ class StudyService:
                 f"study {study.name!r} expands to {grid:,} scenarios, over the "
                 f"{MAX_SCENARIOS:,}-scenario limit of one submission"
             )
-        total = self.executor.total_scenarios(study)
+        # Only a filtered study's size needs its combos counted.
+        total = self.executor.total_scenarios(study) if study.filters else grid
         try:
             spec_echo: Optional[Dict[str, object]] = study.to_dict()
         except ConfigurationError:

@@ -1,7 +1,5 @@
 """Tests for numeric precisions."""
 
-import pickle
-
 import pytest
 
 from repro.hardware.datatypes import MASTER_PRECISION, Precision
@@ -21,6 +19,8 @@ def test_bits_property():
     assert Precision.FP8.bits == 8
     assert Precision.FP4.bits == 4
     assert Precision.FP64.bits == 64
+    for precision in Precision:
+        assert precision.bits == 8 * precision.bytes_per_element
 
 
 def test_parse_accepts_enum_and_strings():
@@ -28,6 +28,9 @@ def test_parse_accepts_enum_and_strings():
     assert Precision.parse("fp16") is Precision.FP16
     assert Precision.parse("FP8") is Precision.FP8
     assert Precision.parse(" bf16 ") is Precision.BF16
+    for precision in Precision:
+        assert Precision.parse(precision.value) is precision
+        assert Precision.parse(precision.name) is precision
 
 
 def test_parse_rejects_unknown():
@@ -42,21 +45,3 @@ def test_master_precision_is_fp32():
 def test_every_precision_has_positive_width():
     for precision in Precision:
         assert precision.bytes_per_element > 0
-
-
-def test_width_survives_pickle_round_trip():
-    for precision in Precision:
-        restored = pickle.loads(pickle.dumps(precision))
-        assert restored is precision
-        assert restored.bytes_per_element == precision.bytes_per_element
-
-
-def test_bits_are_eight_times_bytes():
-    for precision in Precision:
-        assert precision.bits == 8 * precision.bytes_per_element
-
-
-def test_parse_accepts_every_member_name_and_value():
-    for precision in Precision:
-        assert Precision.parse(precision.value) is precision
-        assert Precision.parse(precision.name) is precision

@@ -279,6 +279,37 @@ def test_total_scenarios_counts_filtered_combos():
     assert RunnerStudyExecutor(runner=None).total_scenarios(_grid_study(seeds=4, lanes=3)) == 12
 
 
+class _CountingExecutor(FakeStudyExecutor):
+    def __init__(self):
+        super().__init__()
+        self.counted = []
+
+    def total_scenarios(self, study):
+        self.counted.append(study.name)
+        return super().total_scenarios(study)
+
+
+@pytest.mark.parametrize(
+    "axes, total",
+    [({}, 1), ({"seed": []}, 0), ({"seed": [0, 1], "lane": [0, 1, 2]}, 6)],
+    ids=["no-axes", "empty-axis", "two-axes"],
+)
+def test_only_a_filtered_study_has_its_combos_counted(axes, total):
+    """An unfiltered study's total is the product of its axis lengths, which
+    matches its combo count at the edges too: no axes is one combo."""
+    executor = _CountingExecutor()
+    builders = {
+        "plain": lambda: Study(name="plain", kind="gemv_validation", axes=axes),
+        "filtered": lambda: Study(name="filtered", kind="gemv_validation", axes=axes, filters=(lambda combo: True,)),
+    }
+    api, _ = make_api(executor=executor, builders=builders)
+    for name in builders:
+        response = post_spec(api, {"study": name})
+        assert response.status == 202
+        assert response.json_body()["job"]["total_scenarios"] == total
+    assert executor.counted == ["filtered"]
+
+
 # -- acceptance pins on the REAL runner --------------------------------------------------
 
 

@@ -29,10 +29,6 @@ def _ops(layer_spec):
     return layer_spec.template().forward_compute_ops(*layer_spec.shape)
 
 
-def _gemms(layer_spec):
-    return {gemm.name: gemm for gemm in layer_spec.template().forward_gemms(*layer_spec.shape)}
-
-
 def _flops(layer_spec):
     return sum(op.flops for op in _ops(layer_spec))
 
@@ -51,19 +47,13 @@ def test_average_decode_kv_len(tiny_model):
     assert no_generation.average_decode_kv_len == 200
 
 
-def test_prefill_graph_covers_all_layers(tiny_model, single_node_a100):
+def test_prefill_prices_each_layer_kernel_once_per_layer(tiny_model, single_node_a100):
     report = InferencePerformanceModel(system=single_node_a100).predict(
         tiny_model, batch_size=1, prompt_tokens=64, generated_tokens=32
     )
     layer_entries = [entry for entry in report.prefill.kernel_breakdown if entry.name != "lm_head"]
     assert len(layer_entries) == len(_ops(_spec(tiny_model).prefill_layer_spec()))
     assert {entry.count for entry in layer_entries} == {tiny_model.num_layers}
-
-
-def test_prefill_graph_has_no_dropout(tiny_model):
-    layer = _spec(tiny_model).prefill_layer_spec()
-    assert not layer.with_dropout
-    assert not any("dropout" in op.name for op in _ops(layer))
 
 
 def test_prefill_includes_lm_head_for_last_token_only(tiny_model, single_node_a100):
@@ -73,20 +63,6 @@ def test_prefill_includes_lm_head_for_last_token_only(tiny_model, single_node_a1
     assert plan.lm_head.m == 4  # only the last position per sequence
     assert not any(op.name == "lm_head" for op in plan.prefill_ops)
     assert plan.gemm_queries().count(plan.lm_head) == 1
-
-
-def test_decode_step_uses_single_token_queries(tiny_model):
-    spec = _spec(tiny_model, batch=2, prompt=64, generate=64)
-    gemms = _gemms(spec.decode_layer_spec(spec.average_decode_kv_len))
-    assert gemms["qkv_projection"].m == 2
-    assert gemms["attention_scores"].m == 1
-    assert gemms["attention_scores"].n == spec.average_decode_kv_len
-
-
-def test_decode_step_kv_len_override(tiny_model):
-    gemms = _gemms(_spec(tiny_model).decode_layer_spec(77))
-    assert gemms["attention_scores"].n == 77
-    assert gemms["attention_context"].k == 77
 
 
 def test_decode_flops_much_smaller_than_prefill(tiny_model):

@@ -105,6 +105,7 @@ def test_kv_cache_append_present_when_enabled(tiny_model):
 def test_decode_spec_uses_kv_len(tiny_model):
     template = _template(tiny_model, with_dropout=False, use_kv_cache=True)
     gemms = _by_name(template.forward_gemms(2, 1, 333))
+    assert gemms["attention_scores"].m == 1  # one new query token
     assert gemms["attention_scores"].n == 333
     assert gemms["attention_context"].k == 333
     assert gemms["qkv_projection"].m == 2

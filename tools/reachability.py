@@ -15,10 +15,10 @@ start are recorded too.  Every function then lands in one of three groups:
 * never run: nothing calls it.
 
 Run it from anywhere with the standard library alone; it takes about four
-minutes on a 2-CPU host::
+minutes on a 2-CPU host, and prints the counts of each group followed by
+every test-only and never-run function::
 
-    python tools/reachability.py           # the counts
-    python tools/reachability.py --list    # and every test-only / never-run function
+    python tools/reachability.py
 
 The groups over-report dead code: public API that only README shows (such as
 ``SweepRunner.run_grid``) counts as test-only, and code a child reaches while
@@ -30,7 +30,6 @@ reported, and what the child ran still counts.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import json
 import os
@@ -41,7 +40,7 @@ import tempfile
 import time
 import urllib.request
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Set, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -107,8 +106,8 @@ class Function(NamedTuple):
     lines: int
 
 
-def list_functions() -> List[Function]:
-    """Every ``def`` under ``src/repro``, nested ones included."""
+def list_functions(package: Path = PACKAGE) -> List[Function]:
+    """Every ``def`` under ``package``, nested ones included."""
     functions: List[Function] = []
 
     def visit(node: ast.AST, path: Path, prefix: str) -> None:
@@ -123,7 +122,7 @@ def list_functions() -> List[Function]:
             else:
                 visit(child, path, prefix)
 
-    for path in sorted(PACKAGE.rglob("*.py")):
+    for path in sorted(package.rglob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path.resolve(), "")
     return functions
 
@@ -131,8 +130,9 @@ def list_functions() -> List[Function]:
 class Audit:
     """Runs children with the hook installed and collects what they called."""
 
-    def __init__(self, scratch: Path) -> None:
+    def __init__(self, scratch: Path, package: Path = PACKAGE) -> None:
         self.scratch = scratch
+        self.package = package
         self.work = scratch / "work"
         self.work.mkdir()
         hook_dir = scratch / "hook"
@@ -149,7 +149,7 @@ class Audit:
         return dict(
             os.environ,
             PYTHONPATH=self.pythonpath,
-            REACHABILITY_PACKAGE=str(PACKAGE.resolve()),
+            REACHABILITY_PACKAGE=str(self.package.resolve()),
             REACHABILITY_OUT=str(out),
         )
 
@@ -255,11 +255,30 @@ class Audit:
         return seen
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--list", action="store_true", help="print every test-only and never-run function")
-    args = parser.parse_args(argv)
+def key(function: Function) -> Tuple[str, int]:
+    """What the profile hook records for ``function``'s code object."""
+    return (str(function.path), function.first_line)
 
+
+def summary(functions: List[Function], entry: Set[Tuple[str, int]], tests: Set[Tuple[str, int]]) -> List[str]:
+    """The report: each group's count, then every test-only and never-run function."""
+    test_only = [f for f in functions if key(f) not in entry and key(f) in tests]
+    never_run = [f for f in functions if key(f) not in entry and key(f) not in tests]
+    lines = [
+        f"functions in src/repro: {len(functions)} ({sum(f.lines for f in functions):,} lines)",
+        f"reached by an entry point: {len(functions) - len(test_only) - len(never_run)}",
+        f"test-only: {len(test_only)} ({sum(f.lines for f in test_only):,} lines)",
+        f"never run: {len(never_run)} ({sum(f.lines for f in never_run):,} lines)",
+    ]
+    for title, group in (("test-only", test_only), ("never run", never_run)):
+        lines += ["", f"{title}:"]
+        for function in group:
+            where = f"{function.path.relative_to(REPO.resolve())}:{function.first_line}"
+            lines.append(f"  {where:<48} {function.qualname} ({function.lines} lines)")
+    return lines
+
+
+def main() -> int:
     functions = list_functions()
     with tempfile.TemporaryDirectory(prefix="reachability-") as scratch:
         audit = Audit(Path(scratch))
@@ -268,23 +287,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("unit tests:", file=sys.stderr)
         audit.tests()
         entry, tests = audit.reached("entry"), audit.reached("tests")
-
-    def key(function: Function) -> Tuple[str, int]:
-        return (str(function.path), function.first_line)
-
-    test_only = [f for f in functions if key(f) not in entry and key(f) in tests]
-    never_run = [f for f in functions if key(f) not in entry and key(f) not in tests]
-    reached = len(functions) - len(test_only) - len(never_run)
-    print(f"functions in src/repro: {len(functions)} ({sum(f.lines for f in functions):,} lines)")
-    print(f"reached by an entry point: {reached}")
-    print(f"test-only: {len(test_only)} ({sum(f.lines for f in test_only):,} lines)")
-    print(f"never run: {len(never_run)} ({sum(f.lines for f in never_run):,} lines)")
-    if args.list:
-        for title, group in (("test-only", test_only), ("never run", never_run)):
-            print(f"\n{title}:")
-            for function in group:
-                where = f"{function.path.relative_to(REPO.resolve())}:{function.first_line}"
-                print(f"  {where:<48} {function.qualname} ({function.lines} lines)")
+    print("\n".join(summary(functions, entry, tests)))
     if audit.failures:
         print(f"\nentry points that failed (their calls still count): {', '.join(audit.failures)}")
     return 0
