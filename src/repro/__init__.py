@@ -40,7 +40,7 @@ from .serving import (
 from .studies import Study, get_study, list_studies, register_study
 from .sweep import Scenario, SweepResult, SweepRunner, SweepTable, expand_grid
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "InferencePerformanceModel",

@@ -136,7 +136,7 @@ class PerformancePredictionEngine:
         generated_tokens: int = 200,
         tensor_parallel: int = 1,
         precision: Precision = Precision.FP16,
-        decode_mode: Optional[str] = None,
+        decode_mode: str = "average",
     ) -> InferenceReport:
         """Predict end-to-end inference latency; see :class:`InferencePerformanceModel`.
 
@@ -184,7 +184,6 @@ class PerformancePredictionEngine:
         scheduler: Optional[SchedulerConfig] = None,
         slo: Optional[ServingSLO] = None,
         include_lm_head: bool = True,
-        fused: bool = True,
     ) -> ServingReport:
         """Simulate request-level serving of ``model`` on this system.
 
@@ -192,9 +191,7 @@ class PerformancePredictionEngine:
         (or an explicit request list); the simulation advances in continuous-
         batching prefill and epoch-fused decode steps priced by this engine's
         shared :attr:`step_cost` layer, so repeated simulations (e.g. a load-
-        frontier sweep) reuse one set of operator/attention-time caches.
-        ``fused=False`` selects the step-by-step reference loop (bit-identical
-        results, much slower).  See
+        frontier sweep) reuse one set of operator/attention-time caches.  See
         :class:`~repro.serving.simulator.ServingSimulator`.
         """
         model = get_model(model) if isinstance(model, str) else model
@@ -208,7 +205,6 @@ class PerformancePredictionEngine:
             scheduler_config=scheduler,
             slo=slo,
             include_lm_head=include_lm_head,
-            fused=fused,
         )
         return simulator.run(workload)
 
@@ -218,7 +214,6 @@ class PerformancePredictionEngine:
         fleet: FleetConfig,
         tensor_parallel: int = 1,
         precision: Precision = Precision.FP16,
-        fused: bool = True,
     ) -> FleetReport:
         """Simulate a fleet of engine replicas of ``model`` behind a router.
 
@@ -237,7 +232,6 @@ class PerformancePredictionEngine:
             tensor_parallel=tensor_parallel,
             precision=precision,
             step_cost=self.step_cost,
-            fused=fused,
         )
         return simulator.run()
 

@@ -21,9 +21,9 @@ The decode phase supports two pricing modes (``decode_mode``):
 
 All per-phase pricing lives in the reusable step-cost layer
 (:class:`~repro.core.stepcost.StepCostModel`), and every operator comes from
-that layer's templates; this module supplies the request-level
-workload description, the memory admission check, and the
-:class:`~repro.core.reports.InferenceReport` assembly on top of it.
+that layer's templates; this module validates the request, runs the memory
+admission check, and assembles the
+:class:`~repro.core.reports.InferenceReport` on top of it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from ..hardware.datatypes import Precision
 from ..memmodel.footprint import InferenceMemoryBreakdown, inference_memory_breakdown
 from ..models.transformer import TransformerConfig
 from ..perf.kernels import DeviceKernelModel
-from ..workload.inference import InferencePhaseSpec
 from ..workload.operators import GEMM, Operator
 from .reports import InferenceReport
 from .stepcost import StepCostModel
@@ -53,7 +52,7 @@ class InferencePlan:
 
     Produced by :meth:`InferencePerformanceModel.plan` and consumed by
     :meth:`InferencePerformanceModel.finish`: the plan carries the validated
-    spec, the memory admission result, and every *already built* operator
+    request, the memory admission result, and every *already built* operator
     list of the request, so ``finish(plan)`` prices the request without
     reconstructing the workload graph.  The split exists for the
     cross-scenario batch planner (:mod:`repro.sweep.batchplan`), which
@@ -62,9 +61,13 @@ class InferencePlan:
     to a direct ``predict`` (the per-op evaluations become memo hits).
 
     Attributes:
-        spec: The validated request description.
+        model: The transformer architecture being served.
+        batch_size: Sequences served concurrently.
+        prompt_tokens: Prompt (summarization) length per sequence.
+        generated_tokens: Tokens generated per sequence.
+        tensor_parallel: TP degree (number of devices used).
         memory: The per-device memory breakdown (already admission-checked).
-        decode_mode: Resolved decode pricing mode (``"average"``/``"exact"``).
+        decode_mode: Decode pricing mode (``"average"``/``"exact"``).
         lm_head: The logits GEMM, or ``None``.
         prefill_ops: Compute operators of one prefill layer.
         prefill_comms: Communication operators of one prefill layer.
@@ -75,7 +78,11 @@ class InferencePlan:
             token, at its true KV length (exact mode only).
     """
 
-    spec: InferencePhaseSpec
+    model: TransformerConfig
+    batch_size: int
+    prompt_tokens: int
+    generated_tokens: int
+    tensor_parallel: int
     memory: InferenceMemoryBreakdown
     decode_mode: str
     lm_head: Optional[GEMM]
@@ -111,10 +118,6 @@ class InferencePerformanceModel:
             messages of the decode phase.
         check_memory: Whether to raise when weights + KV-cache exceed the
             aggregate device memory of the tensor-parallel group.
-        decode_mode: Default decode pricing mode: ``"average"`` prices one
-            representative step at the mid-point KV length, ``"exact"`` prices
-            every generated token at its true KV length through the batched
-            roofline backend.  Overridable per :meth:`predict` call.
         step_cost: The step-cost layer the phase reports are priced through
             (built in ``__post_init__``; shares the kernel and collective
             models above).
@@ -124,12 +127,9 @@ class InferencePerformanceModel:
     kernel_model: Optional[DeviceKernelModel] = None
     collective_model: Optional[CollectiveModel] = None
     check_memory: bool = True
-    decode_mode: str = "average"
     step_cost: StepCostModel = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.decode_mode not in DECODE_MODES:
-            raise ConfigurationError(f"decode_mode must be one of {DECODE_MODES}, got {self.decode_mode!r}")
         self.step_cost = StepCostModel(
             system=self.system,
             kernel_model=self.kernel_model,
@@ -149,7 +149,7 @@ class InferencePerformanceModel:
         tensor_parallel: int = 1,
         precision: Precision = Precision.FP16,
         include_lm_head: bool = True,
-        decode_mode: Optional[str] = None,
+        decode_mode: str = "average",
     ) -> InferenceReport:
         """Predict the end-to-end latency of one inference request.
 
@@ -161,10 +161,14 @@ class InferencePerformanceModel:
             tensor_parallel: TP degree (number of devices used).
             precision: Weight/activation precision.
             include_lm_head: Whether to include the logits GEMM.
-            decode_mode: ``"average"`` or ``"exact"``; defaults to the
-                model-level :attr:`decode_mode`.
+            decode_mode: ``"average"`` prices one representative decode step
+                at the mid-point KV length; ``"exact"`` prices every generated
+                token at its true KV length through the batched roofline
+                backend.
 
         Raises:
+            ConfigurationError: On an unknown ``decode_mode``, a batch or
+                prompt below 1, or a negative ``generated_tokens``.
             MemoryCapacityError: When the weights plus the KV-cache do not fit
                 into the devices' memory and ``check_memory`` is enabled.
         """
@@ -190,7 +194,7 @@ class InferencePerformanceModel:
         tensor_parallel: int = 1,
         precision: Precision = Precision.FP16,
         include_lm_head: bool = True,
-        decode_mode: Optional[str] = None,
+        decode_mode: str = "average",
     ) -> InferencePlan:
         """Validate the request and build its workload graph without pricing it.
 
@@ -201,20 +205,12 @@ class InferencePerformanceModel:
         requests' GEMMs in one call first.
 
         Raises:
-            MemoryCapacityError: Same admission check as :meth:`predict`.
+            ConfigurationError, MemoryCapacityError: Same checks as :meth:`predict`.
         """
-        decode_mode = self.decode_mode if decode_mode is None else decode_mode
         if decode_mode not in DECODE_MODES:
             raise ConfigurationError(f"decode_mode must be one of {DECODE_MODES}, got {decode_mode!r}")
-        spec = InferencePhaseSpec(
-            model=model,
-            batch_size=batch_size,
-            prompt_len=prompt_tokens,
-            generated_tokens=generated_tokens,
-            tensor_parallel=tensor_parallel,
-            precision=precision,
-            include_lm_head=include_lm_head,
-        )
+        if batch_size < 1 or prompt_tokens < 1 or generated_tokens < 0:
+            raise ConfigurationError("batch_size and prompt_tokens must be positive; generated_tokens non-negative")
         memory = inference_memory_breakdown(
             model,
             batch_size=batch_size,
@@ -230,29 +226,33 @@ class InferencePerformanceModel:
 
         tp_scope = self.step_cost.tp_scope(tensor_parallel)
         template = self.step_cost.template(model, tensor_parallel, precision)
-        prefill = spec.prefill_layer_spec()
-        decode = spec.decode_layer_spec(spec.average_decode_kv_len)
         plan = InferencePlan(
-            spec=spec,
+            model=model,
+            batch_size=batch_size,
+            prompt_tokens=prompt_tokens,
+            generated_tokens=generated_tokens,
+            tensor_parallel=tensor_parallel,
             memory=memory,
             decode_mode=decode_mode,
             lm_head=template.lm_head(batch_size) if include_lm_head else None,
-            prefill_ops=template.forward_compute_ops(*prefill.shape),
-            prefill_comms=template.forward_communication(prefill.tokens, tp_scope),
-            decode_comms=template.forward_communication(decode.tokens, tp_scope),
+            prefill_ops=template.forward_compute_ops(batch_size, prompt_tokens, prompt_tokens),
+            prefill_comms=template.forward_communication(batch_size * prompt_tokens, tp_scope),
+            decode_comms=template.forward_communication(batch_size, tp_scope),
         )
         if decode_mode == "exact":
             plan.decode_steps = [
                 template.forward_compute_ops(batch_size, 1, prompt_tokens + step) for step in range(generated_tokens)
             ]
         else:
-            plan.decode_ops = template.forward_compute_ops(*decode.shape)
+            # The cache grows from the prompt to prompt + generated tokens; the
+            # step at its mid-point prices the average generated token.
+            kv_len = prompt_tokens + max(0, generated_tokens - 1) // 2
+            plan.decode_ops = template.forward_compute_ops(batch_size, 1, kv_len)
         return plan
 
     def finish(self, plan: InferencePlan) -> InferenceReport:
         """Price a plan into the final report (see :meth:`plan`)."""
-        spec = plan.spec
-        model = spec.model
+        model = plan.model
         prefill = self.step_cost.phase_report(
             name="prefill",
             ops=plan.prefill_ops,
@@ -275,15 +275,15 @@ class InferencePerformanceModel:
                 comms=plan.decode_comms,
                 num_layers=model.num_layers,
                 lm_head=plan.lm_head,
-                repeats=max(0, spec.generated_tokens),
+                repeats=plan.generated_tokens,
             )
         return InferenceReport(
             model_name=model.name,
             system_name=self.system.name,
-            tensor_parallel=spec.tensor_parallel,
-            batch_size=spec.batch_size,
-            prompt_tokens=spec.prompt_len,
-            generated_tokens=spec.generated_tokens,
+            tensor_parallel=plan.tensor_parallel,
+            batch_size=plan.batch_size,
+            prompt_tokens=plan.prompt_tokens,
+            generated_tokens=plan.generated_tokens,
             prefill=prefill,
             decode=decode,
             memory=plan.memory,

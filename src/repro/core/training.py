@@ -2,8 +2,11 @@
 
 The model composes the pieces built elsewhere in the package:
 
-1. the :class:`~repro.parallelism.mapper.ParallelizationMapper` turns the
-   (model, parallelism, batch) triple into a per-stage micro-batch workload,
+1. the :class:`~repro.parallelism.mapper.ParallelizationMapper` checks the
+   (model, parallelism, batch) triple against the system and derives the
+   micro-batch count, the pipeline schedule and each group's fabric, and the
+   layer template of the (model, TP, SP, precision) configuration renders one
+   layer's operators at the micro-batch shape,
 2. the device kernel model prices every forward/backward kernel of one layer,
 3. the collective model prices the tensor-parallel, pipeline-parallel, and
    data-parallel communication,
@@ -37,6 +40,7 @@ from ..parallelism.config import ParallelismConfig
 from ..parallelism.mapper import DistributedTrainingPlan, ParallelizationMapper
 from ..perf.kernels import DeviceKernelModel
 from ..workload.operators import CollectiveKind, CommunicationOp, GEMM, Operator
+from ..workload.transformer_layer import layer_template
 from .reports import KernelTimeEntry, TrainingReport, dram_bytes
 
 #: Bytes the optimizer touches per parameter during the update step:
@@ -99,17 +103,11 @@ class TrainingPerformanceModel:
             system's accelerator when not supplied.
         collective_model: Communication pricing model; built from the system
             when not supplied.
-        overlap_dp_communication: Fraction of the data-parallel gradient
-            all-reduce hidden behind the backward pass.  The paper's
-            analytical model adds communication serially, so the default is
-            fully exposed (0.0); set it higher to model gradient-reduction
-            overlap.
     """
 
     system: SystemSpec
     kernel_model: Optional[DeviceKernelModel] = None
     collective_model: Optional[CollectiveModel] = None
-    overlap_dp_communication: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kernel_model is None:
@@ -219,9 +217,15 @@ class TrainingPerformanceModel:
             precision=precision,
         )
         layers_per_stage = parallelism.layers_per_stage(model)
-        spec = mapping.microbatch_spec
-        layer = spec.layer_spec()
-        template = layer.template(self._templates)
+        template = layer_template(
+            self._templates,
+            model,
+            tensor_parallel=parallelism.tensor_parallel,
+            sequence_parallel=parallelism.sequence_parallel,
+            precision=precision,
+        )
+        shape = (parallelism.micro_batch_size, mapping.seq_len, mapping.seq_len)
+        tokens = parallelism.micro_batch_size * mapping.seq_len
         pp_op = dp_op = None
         if parallelism.pipeline_parallel > 1:
             pp_op = CommunicationOp(
@@ -231,23 +235,26 @@ class TrainingPerformanceModel:
                 group_size=2,
                 scope=mapping.pp_scope,
             )
-        dp_plan = mapping.data_parallel_plan
-        if dp_plan.requires_all_reduce:
+        if parallelism.data_parallel > 1:
+            # Each replica computes gradients on its share of the batch and
+            # all-reduces them across the DP group before the update: the
+            # weights the device holds times the gradient element size (FP16
+            # gradients; the FP32 master copy stays with the optimizer).
             dp_op = CommunicationOp(
                 name="dp_grad_all_reduce",
                 collective=CollectiveKind.ALL_REDUCE,
-                data_bytes=dp_plan.gradient_bytes,
-                group_size=dp_plan.data_parallel,
+                data_bytes=mapping.parameters_per_device * precision.bytes_per_element,
+                group_size=parallelism.data_parallel,
                 scope=mapping.dp_scope,
             )
         return TrainingPlan(
             mapping=mapping,
             recompute=recompute,
             layers_per_stage=layers_per_stage,
-            forward_ops=template.forward_compute_ops(*layer.shape),
-            backward_ops=template.backward_compute_ops(*layer.shape),
-            tp_comms=template.communication(layer.tokens, mapping.tp_scope),
-            lm_head=template.lm_head(layer.tokens) if spec.include_embedding else None,
+            forward_ops=template.forward_compute_ops(*shape),
+            backward_ops=template.backward_compute_ops(*shape),
+            tp_comms=template.communication(tokens, mapping.tp_scope),
+            lm_head=template.lm_head(tokens) if parallelism.holds_embedding else None,
             pp_op=pp_op,
             dp_op=dp_op,
         )
@@ -295,11 +302,10 @@ class TrainingPerformanceModel:
         ideal_pipeline_time = compute_time + recompute_time + tp_comm_time
         bubble_time = mapping.pipeline.bubble_fraction * ideal_pipeline_time
 
-        # One pipeline send per micro-batch; the DP all-reduce minus its overlap.
+        # One pipeline send per micro-batch and one exposed DP all-reduce per
+        # step: the paper's model adds communication serially.
         pp_comm_time = 0.0 if plan.pp_op is None else self.collective_model.time(plan.pp_op) * microbatches
-        dp_comm_time = 0.0
-        if plan.dp_op is not None:
-            dp_comm_time = self.collective_model.time(plan.dp_op) * (1.0 - self.overlap_dp_communication)
+        dp_comm_time = 0.0 if plan.dp_op is None else self.collective_model.time(plan.dp_op)
         weight_update_time = self._weight_update_time(mapping)
 
         memory = training_memory_breakdown(

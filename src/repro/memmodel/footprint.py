@@ -138,13 +138,10 @@ def model_weight_bytes(
     model: TransformerConfig,
     precision: Precision = Precision.FP16,
     tensor_parallel: int = 1,
-    pipeline_parallel: int = 1,
 ) -> float:
-    """Weight bytes per device under TP/PP sharding."""
+    """Weight bytes per device under TP sharding: every layer plus the vocabulary-sharded embedding."""
     shard = TensorParallelShard(model=model, tensor_parallel=tensor_parallel)
-    layers = model.num_layers / pipeline_parallel
-    embedding = shard.embedding_parameters if pipeline_parallel == 1 else shard.embedding_parameters / 2.0
-    params = layers * shard.parameters_per_layer + embedding
+    params = model.num_layers * shard.parameters_per_layer + shard.embedding_parameters
     return params * precision.bytes_per_element
 
 
@@ -174,12 +171,7 @@ def training_memory_breakdown(
     sequence_length = model.max_seq_len if seq_len is None else seq_len
     layers_per_stage = parallelism.layers_per_stage(model)
 
-    shard = TensorParallelShard(model=model, tensor_parallel=parallelism.tensor_parallel)
-    include_embedding = parallelism.pipeline_parallel == 1
-    params_per_device = layers_per_stage * shard.parameters_per_layer
-    if include_embedding:
-        params_per_device += shard.embedding_parameters
-
+    params_per_device = parallelism.parameters_per_device(model)
     parameter_bytes = params_per_device * precision.bytes_per_element
     gradient_bytes = params_per_device * precision.bytes_per_element
     optimizer_bytes = params_per_device * MASTER_PRECISION.bytes_per_element * (1 + ADAM_STATES_PER_PARAMETER)

@@ -5,7 +5,7 @@ sequence parallelism is given the same degree as tensor parallelism when
 enabled (`SP = TP`) and degree 1 when disabled.  This module validates a
 configuration against a model and batch size and derives the quantities the
 rest of the framework needs (micro-batch size, number of micro-batches,
-layers per pipeline stage).
+layers per pipeline stage, weights per device).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Dict, Optional
 
 from ..errors import ConfigurationError
 from ..models.transformer import TransformerConfig
+from .megatron import TensorParallelShard
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,6 +101,19 @@ class ParallelismConfig:
             )
         return model.num_layers // self.pipeline_parallel
 
+    @property
+    def holds_embedding(self) -> bool:
+        """Whether one device holds the embedding and runs the LM head: only without pipeline stages."""
+        return self.pipeline_parallel == 1
+
+    def parameters_per_device(self, model: TransformerConfig) -> float:
+        """Model weights resident on one device: its stage's layers, plus the embedding when it holds it."""
+        shard = TensorParallelShard(model=model, tensor_parallel=self.tensor_parallel)
+        params = self.layers_per_stage(model) * shard.parameters_per_layer
+        if self.holds_embedding:
+            params += shard.embedding_parameters
+        return params
+
     def layers_per_virtual_stage(self, model: TransformerConfig) -> int:
         """Layers per interleaved model chunk on one device."""
         per_stage = self.layers_per_stage(model)
@@ -155,12 +169,11 @@ def parse_parallelism_label(
     dp, tp, pp, sp = (int(part) for part in parts)
     if sp not in (1, tp):
         raise ConfigurationError(f"SP degree must be 1 or equal to TP ({tp}); got {sp}")
-    schedule = pipeline_schedule or ("1f1b" if pp > 1 else "1f1b")
     return ParallelismConfig(
         data_parallel=dp,
         tensor_parallel=tp,
         pipeline_parallel=pp,
         sequence_parallel=(sp == tp and tp > 1),
         micro_batch_size=micro_batch_size,
-        pipeline_schedule=schedule,
+        pipeline_schedule=pipeline_schedule or "1f1b",
     )

@@ -1,13 +1,12 @@
 """Parallelization mapper: place a workload onto a system under a parallelism config.
 
-The mapper is the glue between the workload layer and the performance
-prediction engine.  Given a model, a :class:`ParallelismConfig`, the training
-hyper-parameters, and a :class:`~repro.hardware.cluster.SystemSpec`, it
-derives the *distributed execution plan*: which fraction of the model and
-batch one device executes, how many micro-batches stream through the
-pipeline, which fabric each communication group uses, and the per-device
-building blocks the engine then prices with the roofline and collective
-models.
+Given a model, a :class:`ParallelismConfig`, the training hyper-parameters,
+and a :class:`~repro.hardware.cluster.SystemSpec`, the mapper checks that the
+configuration fits the model and the system and derives the *distributed
+execution plan*: how many micro-batches stream through which pipeline
+schedule, which fabric each communication group uses, and what one device
+holds and sends.  The training model takes one layer's operators from its
+layer templates and prices the plan with the roofline and collective models.
 """
 
 from __future__ import annotations
@@ -19,10 +18,7 @@ from ..errors import MappingError
 from ..hardware.cluster import SystemSpec
 from ..hardware.datatypes import Precision
 from ..models.transformer import TransformerConfig
-from ..workload.training import TrainingMicrobatchSpec
 from .config import ParallelismConfig
-from .data_parallel import DataParallelPlan
-from .megatron import TensorParallelShard
 from .pipeline import PipelineSchedule, pipeline_p2p_volume_per_microbatch
 
 
@@ -37,10 +33,8 @@ class DistributedTrainingPlan:
         global_batch_size: Sequences per optimizer step across all replicas.
         seq_len: Training sequence length.
         precision: Compute precision.
-        microbatch_spec: Work one pipeline stage does per micro-batch.
         num_microbatches: Micro-batches per pipeline per step.
         pipeline: The pipeline schedule with its bubble model.
-        data_parallel_plan: The DP gradient-synchronization plan.
         tp_scope: Fabric scope of tensor-parallel collectives.
         dp_scope: Fabric scope of data-parallel collectives.
         pp_scope: Fabric scope of pipeline point-to-point transfers.
@@ -52,22 +46,16 @@ class DistributedTrainingPlan:
     global_batch_size: int
     seq_len: int
     precision: Precision
-    microbatch_spec: TrainingMicrobatchSpec
     num_microbatches: int
     pipeline: PipelineSchedule
-    data_parallel_plan: DataParallelPlan
     tp_scope: str
     dp_scope: str
     pp_scope: str
 
     @property
     def parameters_per_device(self) -> float:
-        """Model weights resident on one device."""
-        shard = TensorParallelShard(model=self.model, tensor_parallel=self.parallelism.tensor_parallel)
-        layers = self.parallelism.layers_per_stage(self.model)
-        include_embedding = self.parallelism.pipeline_parallel == 1
-        embedding = shard.embedding_parameters if include_embedding else 0.0
-        return layers * shard.parameters_per_layer + embedding
+        """Model weights resident on one device (see :meth:`ParallelismConfig.parameters_per_device`)."""
+        return self.parallelism.parameters_per_device(self.model)
 
     @property
     def pipeline_p2p_bytes_per_microbatch(self) -> float:
@@ -134,31 +122,11 @@ class ParallelizationMapper:
             )
         sequence_length = model.max_seq_len if seq_len is None else seq_len
         num_microbatches = parallelism.num_microbatches(global_batch_size)
-        layers_per_stage = parallelism.layers_per_stage(model)
-
-        microbatch_spec = TrainingMicrobatchSpec(
-            model=model,
-            micro_batch=parallelism.micro_batch_size,
-            seq_len=sequence_length,
-            layers_per_stage=layers_per_stage,
-            tensor_parallel=parallelism.tensor_parallel,
-            sequence_parallel=parallelism.sequence_parallel,
-            precision=precision,
-            include_embedding=parallelism.pipeline_parallel == 1,
-        )
         pipeline = PipelineSchedule(
             pipeline_parallel=parallelism.pipeline_parallel,
             num_microbatches=num_microbatches,
             schedule=parallelism.pipeline_schedule,
             virtual_stages=parallelism.virtual_pipeline_stages,
-        )
-        dp_plan = DataParallelPlan(
-            model=model,
-            data_parallel=parallelism.data_parallel,
-            tensor_parallel=parallelism.tensor_parallel,
-            layers_on_device=layers_per_stage,
-            gradient_precision=precision,
-            include_embedding=parallelism.pipeline_parallel == 1,
         )
 
         # TP (and SP) groups are always placed within a node; DP and PP groups
@@ -176,10 +144,8 @@ class ParallelizationMapper:
             global_batch_size=global_batch_size,
             seq_len=sequence_length,
             precision=precision,
-            microbatch_spec=microbatch_spec,
             num_microbatches=num_microbatches,
             pipeline=pipeline,
-            data_parallel_plan=dp_plan,
             tp_scope=tp_scope,
             dp_scope=dp_scope,
             pp_scope=pp_scope,

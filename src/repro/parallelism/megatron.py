@@ -56,7 +56,3 @@ class TensorParallelShard:
     def embedding_parameters(self) -> float:
         """Embedding (and LM-head) weights per rank; Megatron shards the vocabulary."""
         return self.model.embedding_parameters / self.tensor_parallel
-
-    def parameters_per_rank(self, layers: int) -> float:
-        """Weights one rank holds for ``layers`` transformer layers plus embeddings."""
-        return layers * self.parameters_per_layer + self.embedding_parameters

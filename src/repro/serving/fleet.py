@@ -297,7 +297,6 @@ class FleetSimulator:
         precision: Precision = Precision.FP16,
         step_cost: Optional[StepCostModel] = None,
         tco: Optional[TCOModel] = None,
-        fused: bool = True,
         router: Optional[RouterPolicy] = None,
     ):
         self.system = system
@@ -318,7 +317,6 @@ class FleetSimulator:
             scheduler_config=fleet.scheduler,
             slo=fleet.slo,
             include_lm_head=fleet.include_lm_head,
-            fused=fused,
             max_epoch_steps=fleet.max_epoch_steps,
             arrival_probe_steps=fleet.arrival_probe_steps,
         )
@@ -339,8 +337,6 @@ class FleetSimulator:
             requests = columns.to_requests()
         else:
             requests = sorted(workload, key=lambda request: (request.arrival_time, request.request_id))
-            if not requests:
-                raise ConfigurationError("fleet simulation needs at least one request")
             columns = TraceColumns(
                 arrival_times=np.array([request.arrival_time for request in requests], dtype=np.float64),
                 prompt_tokens=np.array([request.prompt_tokens for request in requests], dtype=np.int64),

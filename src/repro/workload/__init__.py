@@ -1,6 +1,5 @@
-"""Workload layer: operators, layer templates, and the training and inference phase specs."""
+"""Workload layer: operators and the per-layer templates that render them on one device."""
 
-from .inference import InferencePhaseSpec
 from .operators import (
     CollectiveKind,
     CommunicationOp,
@@ -12,21 +11,17 @@ from .operators import (
     OperatorKind,
     make_gemv,
 )
-from .training import TrainingMicrobatchSpec
-from .transformer_layer import LayerExecutionSpec, LayerTemplate
+from .transformer_layer import LayerTemplate
 
 __all__ = [
     "CollectiveKind",
     "CommunicationOp",
     "ElementwiseOp",
     "GEMM",
-    "InferencePhaseSpec",
-    "LayerExecutionSpec",
     "LayerTemplate",
     "MemoryOp",
     "NormalizationOp",
     "Operator",
     "OperatorKind",
-    "TrainingMicrobatchSpec",
     "make_gemv",
 ]

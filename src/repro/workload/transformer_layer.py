@@ -85,64 +85,6 @@ def _check_shape(micro_batch: int, seq_len: int) -> None:
         raise ConfigurationError("micro_batch and seq_len must be positive")
 
 
-@dataclasses.dataclass(frozen=True)
-class LayerExecutionSpec:
-    """One transformer layer's configuration and shape on one device.
-
-    Attributes:
-        model: The transformer architecture.
-        micro_batch: Per-device micro-batch size (sequences).
-        seq_len: Number of query tokens processed by the layer.
-        kv_len: Number of key/value tokens attended to.  Equals ``seq_len``
-            for training/prefill; equals the KV-cache length during decode.
-        tensor_parallel: Degree of tensor (model) parallelism.
-        sequence_parallel: Whether the dropout/layer-norm blocks are split
-            along the sequence dimension across the tensor-parallel group.
-        precision: Numeric format of activations and weights.
-        with_dropout: Whether dropout kernels are present (training only).
-        use_kv_cache: Whether the key/value projections of previous tokens are
-            read from the KV-cache instead of being recomputed (decode phase).
-    """
-
-    model: TransformerConfig
-    micro_batch: int
-    seq_len: int
-    kv_len: int = 0
-    tensor_parallel: int = 1
-    sequence_parallel: bool = False
-    precision: Precision = Precision.FP16
-    with_dropout: bool = True
-    use_kv_cache: bool = False
-
-    def __post_init__(self) -> None:
-        _check_shape(self.micro_batch, self.seq_len)
-        _check_tensor_parallel(self.model, self.tensor_parallel)
-        if self.kv_len == 0:
-            object.__setattr__(self, "kv_len", self.seq_len)
-
-    @property
-    def tokens(self) -> int:
-        """Query tokens processed per device: micro_batch x seq_len."""
-        return self.micro_batch * self.seq_len
-
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        """``(micro_batch, seq_len, kv_len)``: the arguments of the template's layer lists."""
-        return (self.micro_batch, self.seq_len, self.kv_len)
-
-    def template(self, templates: Optional[Memo] = None) -> "LayerTemplate":
-        """The template of this spec's configuration (see :func:`layer_template`)."""
-        return layer_template(
-            templates,
-            self.model,
-            tensor_parallel=self.tensor_parallel,
-            sequence_parallel=self.sequence_parallel,
-            precision=self.precision,
-            with_dropout=self.with_dropout,
-            use_kv_cache=self.use_kv_cache,
-        )
-
-
 def layer_template(
     templates: Optional[Memo],
     model: TransformerConfig,
@@ -282,11 +224,23 @@ class _ShapeOps:
 class LayerTemplate:
     """The per-device operators of one layer configuration, at any shape.
 
-    The configuration attributes mirror :class:`LayerExecutionSpec`'s; the
-    ``*_per_device`` widths are what the Megatron split leaves on one rank.
-    Every ``kv_len`` argument defaults to ``0``, which means ``seq_len``.
-    Operator lists are memoized and returned as tuples shared by every
-    caller asking for the same shape.
+    A shape is ``(micro_batch, seq_len, kv_len)``: the per-device micro-batch,
+    the query tokens the layer processes, and the key/value tokens they
+    attend to -- ``seq_len`` for training and prefill, the KV-cache length
+    during decode.  Every ``kv_len`` argument defaults to ``0``, which means
+    ``seq_len``.  The ``*_per_device`` widths are what the Megatron split
+    leaves on one rank.  Operator lists are memoized and returned as tuples
+    shared by every caller asking for the same shape.
+
+    Attributes:
+        model: The transformer architecture.
+        tensor_parallel: Degree of tensor (model) parallelism.
+        sequence_parallel: Whether the dropout/layer-norm blocks are split
+            along the sequence dimension across the tensor-parallel group.
+        precision: Numeric format of activations and weights.
+        with_dropout: Whether dropout kernels are present (training only).
+        use_kv_cache: Whether the keys/values of earlier tokens come from the
+            KV-cache, so each layer appends the new tokens' K/V (inference).
 
     Raises:
         ConfigurationError: At construction when the TP degree does not

@@ -160,7 +160,7 @@ def test_exact_plan_holds_one_decode_step_per_token(a100_inference, llama2_13b):
     assert [scores_kv_len(step) for step in exact.decode_steps] == [10, 11, 12, 13]
     average = a100_inference.plan(llama2_13b, prompt_tokens=10, generated_tokens=4)
     assert average.decode_steps is None
-    assert scores_kv_len(average.decode_ops) == average.spec.average_decode_kv_len == 11
+    assert scores_kv_len(average.decode_ops) == 10 + (4 - 1) // 2 == 11  # the cache's mid-point
 
 
 def test_exact_decode_with_zero_generated_tokens(a100_inference, llama2_13b):
@@ -169,15 +169,6 @@ def test_exact_decode_with_zero_generated_tokens(a100_inference, llama2_13b):
     assert report.decode.kernel_breakdown == []
 
 
-def test_decode_mode_model_default(single_node_a100, llama2_13b):
-    model = InferencePerformanceModel(system=single_node_a100, decode_mode="exact")
-    default_exact = model.predict(llama2_13b, generated_tokens=32, tensor_parallel=1)
-    explicit_exact = model.predict(llama2_13b, generated_tokens=32, tensor_parallel=1, decode_mode="exact")
-    assert default_exact == explicit_exact
-
-
-def test_invalid_decode_mode_rejected(single_node_a100, a100_inference, llama2_13b):
-    with pytest.raises(ConfigurationError):
-        InferencePerformanceModel(system=single_node_a100, decode_mode="median")
+def test_invalid_decode_mode_rejected(a100_inference, llama2_13b):
     with pytest.raises(ConfigurationError):
         a100_inference.predict(llama2_13b, decode_mode="median")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.parallelism.config import ParallelismConfig, parse_parallelism_label
+from repro.parallelism.megatron import TensorParallelShard
 
 
 def test_defaults_are_serial():
@@ -42,6 +43,17 @@ def test_layers_per_stage(gpt_175b):
     assert config.layers_per_stage(gpt_175b) == 12
     with pytest.raises(ConfigurationError):
         ParallelismConfig(pipeline_parallel=7).layers_per_stage(gpt_175b)
+
+
+@pytest.mark.parametrize("pipeline_parallel", [1, 8])
+def test_parameters_per_device_and_holds_embedding(gpt_175b, pipeline_parallel):
+    """A device holds its stage's layers, plus the embedding only without pipeline stages."""
+    config = ParallelismConfig(tensor_parallel=8, pipeline_parallel=pipeline_parallel)
+    shard = TensorParallelShard(model=gpt_175b, tensor_parallel=8)
+    layers = shard.parameters_per_layer * (gpt_175b.num_layers // pipeline_parallel)
+    embedding = shard.embedding_parameters if pipeline_parallel == 1 else 0.0
+    assert config.holds_embedding is (pipeline_parallel == 1)
+    assert config.parameters_per_device(gpt_175b) == layers + embedding
 
 
 def test_layers_per_virtual_stage(gpt_175b):

@@ -14,8 +14,6 @@ def test_plan_basic_quantities(gpt_175b, a100_cluster_64):
     config = ParallelismConfig(tensor_parallel=8, pipeline_parallel=8, micro_batch_size=1)
     plan = mapper.plan_training(gpt_175b, config, global_batch_size=64)
     assert plan.num_microbatches == 64
-    assert plan.microbatch_spec.layers_per_stage == 12
-    assert plan.microbatch_spec.tensor_parallel == 8
     assert plan.seq_len == gpt_175b.max_seq_len
     assert plan.pipeline.pipeline_parallel == 8
 
@@ -76,8 +74,7 @@ def test_precision_propagates(gpt_175b, a100_cluster_64):
     mapper = ParallelizationMapper(a100_cluster_64)
     config = ParallelismConfig(tensor_parallel=8, pipeline_parallel=8)
     plan = mapper.plan_training(gpt_175b, config, global_batch_size=64, precision=Precision.FP8)
-    assert plan.microbatch_spec.precision is Precision.FP8
-    assert plan.data_parallel_plan.gradient_precision is Precision.FP8
+    assert plan.precision is Precision.FP8
 
 
 def test_plan_summary(gpt_175b, a100_cluster_64):

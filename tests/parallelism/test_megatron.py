@@ -33,12 +33,6 @@ def test_embedding_is_vocab_sharded(gpt_175b):
     assert shard.embedding_parameters == pytest.approx(gpt_175b.embedding_parameters / 8)
 
 
-def test_parameters_per_rank_sums_layers(gpt_175b):
-    shard = TensorParallelShard(model=gpt_175b, tensor_parallel=8)
-    twelve_layers = shard.parameters_per_rank(layers=12)
-    assert twelve_layers == pytest.approx(12 * shard.parameters_per_layer + shard.embedding_parameters)
-
-
 def test_total_shards_reconstruct_model(gpt_175b):
     """Summing the per-rank weights over the TP group recovers the full model (minus replicated norms)."""
     tp = 8

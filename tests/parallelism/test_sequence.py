@@ -9,10 +9,10 @@ whole, and a pipeline stage sends only its rank's slice.
 import pytest
 
 from repro.comm.collectives import all_gather_time, reduce_scatter_time, ring_all_reduce_time
+from repro.core.training import TrainingPerformanceModel
 from repro.errors import ConfigurationError
 from repro.memmodel.activations import ActivationModel
 from repro.parallelism.config import ParallelismConfig, parse_parallelism_label
-from repro.parallelism.mapper import ParallelizationMapper
 from repro.parallelism.pipeline import pipeline_p2p_volume_per_microbatch
 from repro.workload.operators import CollectiveKind
 from repro.workload.transformer_layer import LayerTemplate
@@ -78,10 +78,12 @@ def test_validation(tiny_model):
         parse_parallelism_label("1-8-1-4")
 
 
-def test_mapped_training_plan_carries_sp_to_the_layer(tiny_model, single_node_a100):
-    mapper = ParallelizationMapper(single_node_a100)
+def test_training_plan_carries_sp_to_the_layer(tiny_model, single_node_a100):
+    model = TrainingPerformanceModel(system=single_node_a100)
     for sequence_parallel in (False, True):
         config = ParallelismConfig(tensor_parallel=4, sequence_parallel=sequence_parallel)
-        plan = mapper.plan_training(tiny_model, config, global_batch_size=4, seq_len=128)
-        assert plan.microbatch_spec.sequence_parallel is sequence_parallel
-        assert plan.microbatch_spec.layer_spec().sequence_parallel is sequence_parallel
+        plan = model.plan(tiny_model, config, global_batch_size=4, seq_len=128)
+        (norm,) = [op for op in plan.forward_ops if op.name == "input_layernorm"]
+        assert norm.num_elements == 128 * tiny_model.hidden_size // (4 if sequence_parallel else 1)
+        collectives = {op.collective for op in plan.tp_comms}
+        assert (CollectiveKind.REDUCE_SCATTER in collectives) is sequence_parallel

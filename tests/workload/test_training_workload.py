@@ -1,46 +1,21 @@
-"""Tests for the training micro-batch spec.
+"""Tests for the training workload.
 
-A micro-batch's per-layer operators come from the layer template its layer
-spec selects; the training model prices them once per resident layer.
+``TrainingPerformanceModel.plan`` takes one layer's operators from the
+training layer template of its (model, TP, SP, precision) configuration at
+the micro-batch shape; the training model prices them once per resident
+layer and adds the pipeline and data-parallel collectives.
 """
 
 import pytest
 
 from repro.core.training import TrainingPerformanceModel
-from repro.errors import ConfigurationError
 from repro.hardware.datatypes import Precision
 from repro.models.transformer import TransformerConfig
 from repro.parallelism.config import ParallelismConfig
 from repro.workload.operators import GEMM
-from repro.workload.training import TrainingMicrobatchSpec
+from repro.workload.transformer_layer import LayerTemplate
 
-
-def _spec(model, layers=2, tp=1, sp=False, precision=Precision.FP16, include_embedding=False):
-    return TrainingMicrobatchSpec(
-        model=model,
-        micro_batch=1,
-        seq_len=128,
-        layers_per_stage=layers,
-        tensor_parallel=tp,
-        sequence_parallel=sp,
-        precision=precision,
-        include_embedding=include_embedding,
-    )
-
-
-def _forward_ops(spec):
-    layer = spec.layer_spec()
-    return layer.template().forward_compute_ops(*layer.shape)
-
-
-def _backward_ops(spec):
-    layer = spec.layer_spec()
-    return layer.template().backward_compute_ops(*layer.shape)
-
-
-def test_spec_validation(tiny_model):
-    with pytest.raises(ConfigurationError):
-        TrainingMicrobatchSpec(model=tiny_model, micro_batch=1, seq_len=128, layers_per_stage=0)
+SHAPE = (1, 128, 128)  # micro-batch 1 at sequence length 128
 
 
 def test_stage_time_scales_with_layers_per_stage(single_node_a100):
@@ -71,8 +46,6 @@ def test_lm_head_only_when_embedding_included(tiny_model, single_node_a100):
         return model.plan(tiny_model, parallelism, global_batch_size=4, seq_len=128)
 
     single_stage, staged = plan(1), plan(2)
-    assert single_stage.mapping.microbatch_spec.include_embedding
-    assert not staged.mapping.microbatch_spec.include_embedding
     assert staged.lm_head is None
     assert single_stage.lm_head.name == "lm_head"
     assert single_stage.lm_head.m == 128  # every token of the micro-batch
@@ -86,20 +59,18 @@ def test_training_plan_prices_one_layer_forward_and_backward(tiny_model, single_
     plan = TrainingPerformanceModel(system=single_node_a100).plan(
         tiny_model, parallelism, global_batch_size=4, seq_len=128
     )
-    spec = plan.mapping.microbatch_spec
-    forward = [op for op in _forward_ops(spec) if isinstance(op, GEMM)]
-    backward = [op for op in _backward_ops(spec) if isinstance(op, GEMM)]
+    template = LayerTemplate(tiny_model, tensor_parallel=2, sequence_parallel=sequence_parallel)
+    forward = [op for op in template.forward_compute_ops(*SHAPE) if isinstance(op, GEMM)]
+    backward = [op for op in template.backward_compute_ops(*SHAPE) if isinstance(op, GEMM)]
     queries = plan.gemm_queries()
     assert len(queries) == len(forward) + len(backward)
     assert sum(op.flops for op in queries) == pytest.approx(
         sum(op.flops for op in forward) + sum(op.flops for op in backward), rel=1e-9
     )
-    layer = spec.layer_spec()
-    template = layer.template()
+    tokens = SHAPE[0] * SHAPE[1]
     scope = plan.mapping.tp_scope
-    assert layer.sequence_parallel is sequence_parallel
     assert plan.tp_comms == (
-        template.forward_communication(layer.tokens, scope) + template.backward_communication(layer.tokens, scope)
+        template.forward_communication(tokens, scope) + template.backward_communication(tokens, scope)
     )
     assert plan.collective_queries() == [*plan.tp_comms, plan.pp_op]
 
@@ -107,8 +78,8 @@ def test_training_plan_prices_one_layer_forward_and_backward(tiny_model, single_
 @pytest.mark.parametrize("model_fixture", ["tiny_model", "tiny_swiglu_model"])
 def test_backward_kernel_names_carry_gradient_suffixes(request, model_fixture):
     """Each backward kernel's name marks its phase with a gradient suffix no forward kernel carries."""
-    spec = _spec(request.getfixturevalue(model_fixture), layers=1)
-    forward, backward = _forward_ops(spec), _backward_ops(spec)
+    template = LayerTemplate(request.getfixturevalue(model_fixture))
+    forward, backward = template.forward_compute_ops(*SHAPE), template.backward_compute_ops(*SHAPE)
     suffixes = ("_dgrad", "_wgrad", "_grad")
     assert forward and backward
     assert not any(op.name.endswith(suffixes) for op in forward)
@@ -117,10 +88,29 @@ def test_backward_kernel_names_carry_gradient_suffixes(request, model_fixture):
     assert len(backward) == len(forward) + sum(isinstance(op, GEMM) for op in forward)
 
 
-def test_layer_spec_carries_parallel_degrees_and_precision(tiny_model):
-    layer = _spec(tiny_model, tp=2, sp=True, precision=Precision.BF16).layer_spec()
-    assert (layer.tensor_parallel, layer.sequence_parallel, layer.precision) == (2, True, Precision.BF16)
-    assert layer.with_dropout and not layer.use_kv_cache
-    assert layer.shape == (1, 128, 128)
-    gemm_precisions = {op.precision for op in layer.template().forward_gemms(*layer.shape)}
-    assert gemm_precisions == {Precision.BF16}
+def test_training_plan_carries_parallel_degrees_and_precision(tiny_model, single_node_a100):
+    """The plan renders the TP, SP, precision, dropout, cache-free layer at the micro-batch shape."""
+    parallelism = ParallelismConfig(tensor_parallel=2, sequence_parallel=True)
+    plan = TrainingPerformanceModel(system=single_node_a100).plan(
+        tiny_model, parallelism, global_batch_size=4, seq_len=128, precision=Precision.BF16
+    )
+    template = LayerTemplate(tiny_model, tensor_parallel=2, sequence_parallel=True, precision=Precision.BF16)
+    assert plan.forward_ops == template.forward_compute_ops(*SHAPE)
+    assert plan.backward_ops == template.backward_compute_ops(*SHAPE)
+    assert any("dropout" in op.name for op in plan.forward_ops)
+    assert not any(op.name == "kv_cache_append" for op in plan.forward_ops)
+    assert {op.precision for op in plan.gemm_queries()} == {Precision.BF16}
+
+
+def test_dp_all_reduce_carries_the_device_gradients(tiny_model, single_node_a100):
+    model = TrainingPerformanceModel(system=single_node_a100)
+
+    def plan(data_parallel, precision=Precision.FP16):
+        parallelism = ParallelismConfig(data_parallel=data_parallel, tensor_parallel=2)
+        return model.plan(tiny_model, parallelism, global_batch_size=8, seq_len=128, precision=precision)
+
+    assert plan(1).dp_op is None
+    fp16, fp32 = plan(4), plan(4, Precision.FP32)
+    assert fp16.dp_op.group_size == 4
+    assert fp16.dp_op.data_bytes == fp16.mapping.parameters_per_device * 2
+    assert fp32.dp_op.data_bytes == 2 * fp16.dp_op.data_bytes

@@ -11,7 +11,6 @@ from repro.workload.operators import CollectiveColumns, CollectiveKind, GEMM, Ge
 from repro.workload.transformer_layer import (
     GELU_FLOPS_PER_ELEMENT,
     SILU_FLOPS_PER_ELEMENT,
-    LayerExecutionSpec,
     LayerTemplate,
     backward_gemms,
     layer_template,
@@ -24,16 +23,6 @@ def _template(model, tp=1, sp=False, **kwargs):
 
 def _by_name(ops):
     return {op.name: op for op in ops}
-
-
-def test_spec_validation(tiny_model):
-    with pytest.raises(ConfigurationError, match="micro_batch and seq_len must be positive"):
-        LayerExecutionSpec(model=tiny_model, micro_batch=0, seq_len=128)
-    with pytest.raises(ConfigurationError, match="must divide the number of attention heads"):
-        LayerExecutionSpec(model=tiny_model, micro_batch=2, seq_len=128, tensor_parallel=3)
-    spec = LayerExecutionSpec(model=tiny_model, micro_batch=2, seq_len=128)
-    assert spec.kv_len == spec.seq_len
-    assert spec.shape == (2, 128, 128)
 
 
 def test_template_validation(tiny_model):
@@ -185,8 +174,6 @@ def test_layer_template_memo_keeps_one_template_per_configuration(tiny_model):
     assert layer_template(templates, tiny_model, tensor_parallel=2) is first
     assert layer_template(templates, tiny_model, tensor_parallel=4) is not first
     assert layer_template(templates, tiny_model, tensor_parallel=2, with_dropout=False) is not first
-    spec = LayerExecutionSpec(model=tiny_model, micro_batch=2, seq_len=128, tensor_parallel=2)
-    assert spec.template(templates) is first
     # Without a memo every call builds a fresh template.
     assert layer_template(None, tiny_model, tensor_parallel=2) is not layer_template(None, tiny_model, tensor_parallel=2)
 
