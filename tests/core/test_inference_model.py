@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.engine import PerformancePredictionEngine
 from repro.core.inference import InferencePerformanceModel
 from repro.errors import ConfigurationError, MemoryCapacityError
 from repro.hardware.datatypes import Precision
@@ -167,6 +168,15 @@ def test_exact_decode_with_zero_generated_tokens(a100_inference, llama2_13b):
     report = a100_inference.predict(llama2_13b, generated_tokens=0, tensor_parallel=1, decode_mode="exact")
     assert report.decode.total_time == 0.0
     assert report.decode.kernel_breakdown == []
+
+
+def test_decode_mode_model_default(single_node_a100, a100_inference, llama2_13b):
+    """Without a decode_mode the model, and the engine over it, price the average closed form."""
+    average = a100_inference.predict(llama2_13b, generated_tokens=32, tensor_parallel=1, decode_mode="average")
+    assert a100_inference.predict(llama2_13b, generated_tokens=32, tensor_parallel=1) == average
+    assert PerformancePredictionEngine(single_node_a100).predict_inference(llama2_13b, generated_tokens=32) == average
+    exact = a100_inference.predict(llama2_13b, generated_tokens=32, tensor_parallel=1, decode_mode="exact")
+    assert exact != average
 
 
 def test_invalid_decode_mode_rejected(a100_inference, llama2_13b):

@@ -57,6 +57,14 @@ def test_training_breakdown_components(gpt_175b):
     assert breakdown.model_state_bytes < breakdown.total_bytes
 
 
+def test_training_parameter_bytes_are_the_device_weights(gpt_175b):
+    """The breakdown stores the weights the device holds, embedding included only without pipeline stages."""
+    for pipeline_parallel in (1, 8):
+        config = ParallelismConfig(tensor_parallel=8, pipeline_parallel=pipeline_parallel)
+        breakdown = training_memory_breakdown(gpt_175b, config, global_batch_size=64, precision=Precision.FP16)
+        assert breakdown.parameter_bytes == config.parameters_per_device(gpt_175b) * 2
+
+
 def test_training_breakdown_strategy_ordering(gpt_175b):
     config = ParallelismConfig(tensor_parallel=8, pipeline_parallel=8, micro_batch_size=1)
     totals = {

@@ -96,6 +96,14 @@ def test_parse_parallelism_label_roundtrip():
     assert sp_config.sequence_parallel
 
 
+def test_parse_parallelism_label_schedule():
+    """A label parses to the 1F1B schedule, with or without pipeline stages, unless a schedule is given."""
+    assert parse_parallelism_label("1-8-1-1").pipeline_schedule == "1f1b"
+    assert parse_parallelism_label("1-8-8-1").pipeline_schedule == "1f1b"
+    interleaved = parse_parallelism_label("1-8-8-1", pipeline_schedule="interleaved")
+    assert (interleaved.pipeline_schedule, interleaved.virtual_pipeline_stages) == ("interleaved", 2)
+
+
 def test_parse_parallelism_label_rejects_bad_input():
     with pytest.raises(ConfigurationError):
         parse_parallelism_label("1-8-8")

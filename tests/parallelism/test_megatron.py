@@ -7,6 +7,7 @@ volume test below prices through.
 import pytest
 
 from repro.hardware.datatypes import Precision
+from repro.memmodel.footprint import model_weight_bytes
 from repro.parallelism.megatron import TensorParallelShard
 from repro.workload.transformer_layer import LayerTemplate
 
@@ -31,6 +32,15 @@ def test_norm_parameters_are_replicated(gpt_175b):
 def test_embedding_is_vocab_sharded(gpt_175b):
     shard = TensorParallelShard(model=gpt_175b, tensor_parallel=8)
     assert shard.embedding_parameters == pytest.approx(gpt_175b.embedding_parameters / 8)
+
+
+def test_parameters_per_rank_sums_layers(gpt_175b):
+    """One rank holds its attention, MLP and norm shard of every layer plus its embedding shard."""
+    shard = TensorParallelShard(model=gpt_175b, tensor_parallel=8)
+    per_layer = shard.attention_parameters_per_layer + shard.mlp_parameters_per_layer + shard.norm_parameters_per_layer
+    assert shard.parameters_per_layer == per_layer
+    weights = model_weight_bytes(gpt_175b, precision=Precision.FP16, tensor_parallel=8)
+    assert weights == pytest.approx((gpt_175b.num_layers * per_layer + shard.embedding_parameters) * 2)
 
 
 def test_total_shards_reconstruct_model(gpt_175b):

@@ -78,7 +78,7 @@ def test_validation(tiny_model):
         parse_parallelism_label("1-8-1-4")
 
 
-def test_training_plan_carries_sp_to_the_layer(tiny_model, single_node_a100):
+def test_mapped_training_plan_carries_sp_to_the_layer(tiny_model, single_node_a100):
     model = TrainingPerformanceModel(system=single_node_a100)
     for sequence_parallel in (False, True):
         config = ParallelismConfig(tensor_parallel=4, sequence_parallel=sequence_parallel)

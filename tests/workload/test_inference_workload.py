@@ -28,7 +28,8 @@ def _scores(ops):
     return scores
 
 
-def test_plan_validation(tiny_model, inference):
+def test_spec_validation(tiny_model, inference):
+    """A request needs a batch and a prompt of at least one and a non-negative generation length."""
     for batch, prompt, generate in ((0, 64, 32), (1, 0, 32), (1, 64, -1)):
         with pytest.raises(ConfigurationError, match="must be positive; generated_tokens non-negative"):
             inference.plan(tiny_model, batch_size=batch, prompt_tokens=prompt, generated_tokens=generate)

@@ -9,6 +9,7 @@ layer and adds the pipeline and data-parallel collectives.
 import pytest
 
 from repro.core.training import TrainingPerformanceModel
+from repro.errors import ConfigurationError
 from repro.hardware.datatypes import Precision
 from repro.models.transformer import TransformerConfig
 from repro.parallelism.config import ParallelismConfig
@@ -16,6 +17,17 @@ from repro.workload.operators import GEMM
 from repro.workload.transformer_layer import LayerTemplate
 
 SHAPE = (1, 128, 128)  # micro-batch 1 at sequence length 128
+
+
+def test_spec_validation(tiny_model, single_node_a100):
+    """A step needs whole layers on every stage and a non-empty micro-batch; the recompute strategy is checked first."""
+    model = TrainingPerformanceModel(system=single_node_a100)
+    with pytest.raises(ConfigurationError, match="must be divisible by the PP degree"):
+        model.plan(tiny_model, ParallelismConfig(pipeline_parallel=8), global_batch_size=8, seq_len=128)
+    with pytest.raises(ConfigurationError, match="micro_batch and seq_len must be positive"):
+        model.plan(tiny_model, ParallelismConfig(), global_batch_size=4, seq_len=0)
+    with pytest.raises(ConfigurationError, match="unknown recompute strategy"):
+        model.plan(tiny_model, ParallelismConfig(pipeline_parallel=8), global_batch_size=8, recompute="sometimes")
 
 
 def test_stage_time_scales_with_layers_per_stage(single_node_a100):
@@ -100,17 +112,3 @@ def test_training_plan_carries_parallel_degrees_and_precision(tiny_model, single
     assert any("dropout" in op.name for op in plan.forward_ops)
     assert not any(op.name == "kv_cache_append" for op in plan.forward_ops)
     assert {op.precision for op in plan.gemm_queries()} == {Precision.BF16}
-
-
-def test_dp_all_reduce_carries_the_device_gradients(tiny_model, single_node_a100):
-    model = TrainingPerformanceModel(system=single_node_a100)
-
-    def plan(data_parallel, precision=Precision.FP16):
-        parallelism = ParallelismConfig(data_parallel=data_parallel, tensor_parallel=2)
-        return model.plan(tiny_model, parallelism, global_batch_size=8, seq_len=128, precision=precision)
-
-    assert plan(1).dp_op is None
-    fp16, fp32 = plan(4), plan(4, Precision.FP32)
-    assert fp16.dp_op.group_size == 4
-    assert fp16.dp_op.data_bytes == fp16.mapping.parameters_per_device * 2
-    assert fp32.dp_op.data_bytes == 2 * fp16.dp_op.data_bytes
